@@ -579,8 +579,9 @@ fn bench_entity_cache(results: &mut Results) {
 }
 
 /// Serve-ready cold start: thawing the frozen serving artifact vs. the
-/// legacy startup (regenerate the KB and corpus, rebuild the model, parse
-/// the parameter checkpoint tensor-by-tensor, warm the payload plane).
+/// legacy startup (regenerate the KB and corpus, rebuild the model, load
+/// the params-only model file written by `BootlegModel::save`, warm the
+/// payload plane).
 /// Records `cold_start_speedup` and asserts the >= 2x acceptance floor.
 fn bench_cold_start(results: &mut Results) {
     let smoke = smoke_mode();
@@ -589,7 +590,7 @@ fn bench_cold_start(results: &mut Results) {
     let co_cfg = || CorpusConfig { n_pages, seed: 82, ..CorpusConfig::default() };
 
     // Train-time side, run once: build the model and persist both startup
-    // inputs — the tensor-by-tensor checkpoint and the frozen artifact.
+    // inputs — the params-only model file and the full frozen artifact.
     let kb = gen_kb(&kb_cfg());
     let corpus = generate_corpus(&kb, &co_cfg());
     let counts = bootleg_corpus::stats::entity_counts(&corpus.train, true);
@@ -597,7 +598,7 @@ fn bench_cold_start(results: &mut Results) {
         BootlegModel::new(&kb, &corpus.vocab, &counts, BootlegConfig::default().serving());
     model.set_entity_cache_policy(CachePolicy::Full);
     let dir = std::env::temp_dir();
-    let store_path = dir.join(format!("bootleg_cold_{}.btlg", std::process::id()));
+    let store_path = dir.join(format!("bootleg_cold_params_{}.btfz", std::process::id()));
     let artifact_path = dir.join(format!("bootleg_cold_{}.btfz", std::process::id()));
     model.save(&store_path).expect("save parameter store");
     bootleg_core::freeze_to_path(&model, &kb, &corpus.vocab, &artifact_path)
@@ -611,7 +612,7 @@ fn bench_cold_start(results: &mut Results) {
         let counts = bootleg_corpus::stats::entity_counts(&corpus.train, true);
         let mut m =
             BootlegModel::new(&kb, &corpus.vocab, &counts, BootlegConfig::default().serving());
-        m.load(&store_path).expect("parse checkpoint");
+        m.load(&store_path).expect("load model file");
         m.set_entity_cache_policy(CachePolicy::Full);
         m.warm_entity_cache();
         (m, kb)

@@ -35,23 +35,18 @@
 //! `BOOTLEG_ENTITY_CACHE` selects the fill policy at model construction:
 //! `full` (default) eagerly materializes every entity in parallel over
 //! entity shards via `bootleg-pool` on first use (or at `serve` warmup);
-//! `lru:<n>` keeps at most `n` entities in a lock-sharded LRU for
-//! memory-capped deployments; `off` disables caching entirely.
+//! `off` disables caching entirely (the kill switch, and the oracle the
+//! bit-identity tests compare against).
 
 use crate::config::BootlegConfig;
 use crate::model::BootlegModel;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use bootleg_tensor::{arena, Graph, Tensor};
 
-/// Number of LRU lock shards (entity id modulo shard count).
-const LRU_SHARDS: usize = 16;
-
 /// Fill policy for the entity-payload cache
-/// (`BOOTLEG_ENTITY_CACHE=full|lru:<n>|off`).
+/// (`BOOTLEG_ENTITY_CACHE=full|off`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CachePolicy {
     /// No caching: every request recomputes its payloads.
@@ -60,33 +55,31 @@ pub enum CachePolicy {
     /// entity shards on first use, or ahead of time by
     /// [`BootlegModel::warm_entity_cache`]).
     Full,
-    /// Lazily cache at most this many entities in a lock-sharded LRU.
-    Lru(usize),
 }
 
 impl CachePolicy {
     /// Reads `BOOTLEG_ENTITY_CACHE`; unset or unparsable values fall back
     /// to [`CachePolicy::Full`].
     pub fn from_env() -> Self {
-        match std::env::var("BOOTLEG_ENTITY_CACHE") {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
+        Self::from_setting(std::env::var("BOOTLEG_ENTITY_CACHE").ok().as_deref())
+    }
+
+    fn from_setting(value: Option<&str>) -> Self {
+        match value {
+            Some(v) => Self::parse(v).unwrap_or_else(|| {
                 bootleg_obs::warn!("entitycache.bad_env", value = v);
                 CachePolicy::Full
             }),
-            Err(_) => CachePolicy::Full,
+            None => CachePolicy::Full,
         }
     }
 
-    /// Parses `full`, `off`, or `lru:<n>` (case-insensitive).
+    /// Parses `full` or `off` (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => Some(CachePolicy::Off),
             "full" | "1" | "on" => Some(CachePolicy::Full),
-            _ => {
-                let n: usize = s.strip_prefix("lru:")?.parse().ok()?;
-                Some(if n == 0 { CachePolicy::Off } else { CachePolicy::Lru(n) })
-            }
+            _ => None,
         }
     }
 }
@@ -192,30 +185,12 @@ struct FullPlane {
     width: usize,
 }
 
-struct LruEntry {
-    row: Vec<f32>,
-    /// Last-touch stamp from the cache-wide tick counter.
-    tick: u64,
-}
-
-#[derive(Default)]
-struct LruShard {
-    map: HashMap<u32, LruEntry>,
-}
-
 /// Inference-only cache of static per-entity payload rows. Owned by
 /// [`BootlegModel`]; interior-mutable so `&model` inference paths can fill
 /// it (the model is shared immutably across serving workers).
 pub struct EntityReprCache {
     policy: CachePolicy,
     full: RwLock<Option<Arc<FullPlane>>>,
-    lru: Vec<Mutex<LruShard>>,
-    /// `params.version()` the LRU entries were built at.
-    lru_version: AtomicU64,
-    /// Monotonic touch stamp driving LRU eviction order.
-    tick: AtomicU64,
-    /// Live LRU entries (all shards), for the bytes gauge.
-    lru_entries: AtomicU64,
 }
 
 impl std::fmt::Debug for EntityReprCache {
@@ -226,14 +201,7 @@ impl std::fmt::Debug for EntityReprCache {
 
 impl EntityReprCache {
     pub fn new(policy: CachePolicy) -> Self {
-        Self {
-            policy,
-            full: RwLock::new(None),
-            lru: (0..LRU_SHARDS).map(|_| Mutex::new(LruShard::default())).collect(),
-            lru_version: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            lru_entries: AtomicU64::new(0),
-        }
+        Self { policy, full: RwLock::new(None) }
     }
 
     pub fn policy(&self) -> &CachePolicy {
@@ -248,11 +216,7 @@ impl EntityReprCache {
         if layout.width == 0 || matches!(self.policy, CachePolicy::Off) {
             return None;
         }
-        match self.policy {
-            CachePolicy::Full => Some(self.gather_full(model, layout, cand)),
-            CachePolicy::Lru(cap) => Some(self.gather_lru(model, layout, cand, cap)),
-            CachePolicy::Off => unreachable!(),
-        }
+        Some(self.gather_full(model, layout, cand))
     }
 
     /// Returns the current full plane, building it (in parallel over entity
@@ -302,90 +266,6 @@ impl EntityReprCache {
         buf.finish()
     }
 
-    /// Drops every LRU entry if the weights moved since they were built.
-    fn lru_ensure_version(&self, model: &BootlegModel) {
-        let cur = model.params.version();
-        if self.lru_version.load(Ordering::Acquire) != cur {
-            for shard in &self.lru {
-                shard.lock().expect("entity cache lock").map.clear();
-            }
-            self.lru_entries.store(0, Ordering::Relaxed);
-            bootleg_obs::gauge!("entitycache.bytes").set(0.0);
-            self.lru_version.store(cur, Ordering::Release);
-        }
-    }
-
-    fn gather_lru(
-        &self,
-        model: &BootlegModel,
-        layout: PayloadLayout,
-        cand: &[u32],
-        cap: usize,
-    ) -> CachedParts {
-        self.lru_ensure_version(model);
-        let w = layout.width;
-        let mut buf = PartsBuf::new(layout, cand.len());
-        // Probe pass: copy hits, collect distinct misses.
-        let mut miss_ids: Vec<u32> = Vec::new();
-        let mut miss_pos: Vec<(usize, u32)> = Vec::new();
-        let mut hits = 0u64;
-        for (i, &e) in cand.iter().enumerate() {
-            let mut shard =
-                self.lru[e as usize % LRU_SHARDS].lock().expect("entity cache lock");
-            if let Some(entry) = shard.map.get_mut(&e) {
-                entry.tick = self.tick.fetch_add(1, Ordering::Relaxed);
-                buf.set_row(i, &entry.row);
-                hits += 1;
-            } else {
-                if !miss_ids.contains(&e) {
-                    miss_ids.push(e);
-                }
-                miss_pos.push((i, e));
-            }
-        }
-        bootleg_obs::counter!("entitycache.hits").add(hits);
-        if miss_ids.is_empty() {
-            return buf.finish();
-        }
-        // Build pass: all distinct misses in one batch through the shared
-        // kernels (row values are batch-invariant, so the grouping is inert).
-        let start = Instant::now();
-        let mut built = arena::take_zeroed(miss_ids.len() * w);
-        build_payload_rows(model, layout, &miss_ids, &mut built);
-        bootleg_obs::counter!("entitycache.misses").add(miss_pos.len() as u64);
-        bootleg_obs::counter!("entitycache.build_ns").add(start.elapsed().as_nanos() as u64);
-        // Fill + insert pass (evicting the least-recently-touched entry of
-        // the over-full shard).
-        let cap_per_shard = (cap / LRU_SHARDS).max(1);
-        for (mi, &e) in miss_ids.iter().enumerate() {
-            let row = &built[mi * w..(mi + 1) * w];
-            for &(i, pe) in &miss_pos {
-                if pe == e {
-                    buf.set_row(i, row);
-                }
-            }
-            let mut shard =
-                self.lru[e as usize % LRU_SHARDS].lock().expect("entity cache lock");
-            if !shard.map.contains_key(&e) {
-                if shard.map.len() >= cap_per_shard {
-                    if let Some((&victim, _)) =
-                        shard.map.iter().min_by_key(|(_, entry)| entry.tick)
-                    {
-                        shard.map.remove(&victim);
-                        self.lru_entries.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-                shard.map.insert(e, LruEntry { row: row.to_vec(), tick });
-                self.lru_entries.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        arena::release(built);
-        bootleg_obs::gauge!("entitycache.bytes")
-            .set((self.lru_entries.load(Ordering::Relaxed) as usize * w * 4) as f64);
-        buf.finish()
-    }
-
     /// Installs a prebuilt full plane stamped at `version` (the frozen-
     /// artifact thaw path). The caller has validated width and row count.
     fn install_full(&self, version: u64, width: usize, rows: Vec<f32>) {
@@ -395,20 +275,8 @@ impl EntityReprCache {
     }
 
     /// Bytes currently held by the cache (0 when off or not yet filled).
-    pub fn bytes(&self, model: &BootlegModel) -> usize {
-        let layout = PayloadLayout::of(&model.config);
-        match self.policy {
-            CachePolicy::Off => 0,
-            CachePolicy::Full => self
-                .full
-                .read()
-                .expect("entity cache lock")
-                .as_ref()
-                .map_or(0, |p| p.rows.len() * 4),
-            CachePolicy::Lru(_) => {
-                self.lru_entries.load(Ordering::Relaxed) as usize * layout.width * 4
-            }
-        }
+    pub fn bytes(&self) -> usize {
+        self.full.read().expect("entity cache lock").as_ref().map_or(0, |p| p.rows.len() * 4)
     }
 }
 
@@ -467,7 +335,7 @@ impl BootlegModel {
     }
 
     /// Eagerly materializes the payload plane under the `Full` policy (the
-    /// serve-startup warmup); a no-op for `Lru`/`Off` and when the plane is
+    /// serve-startup warmup); a no-op for `Off` and when the plane is
     /// already current.
     pub fn warm_entity_cache(&self) {
         if matches!(self.repr_cache.policy(), CachePolicy::Full) {
@@ -480,7 +348,7 @@ impl BootlegModel {
 
     /// Materializes (if needed) and snapshots the full payload plane —
     /// `(width, rows)` — for the frozen serving artifact. `None` unless the
-    /// policy is `Full` and the model has static signals: LRU and Off
+    /// policy is `Full` and the model has static signals: `Off`
     /// deployments rebuild payloads live and freeze nothing.
     pub fn export_entity_plane(&self) -> Option<(usize, Vec<f32>)> {
         if !matches!(self.repr_cache.policy(), CachePolicy::Full) {
@@ -525,7 +393,7 @@ impl BootlegModel {
 
     /// Bytes currently held by the entity-repr cache.
     pub fn entity_cache_bytes(&self) -> usize {
-        self.repr_cache.bytes(self)
+        self.repr_cache.bytes()
     }
 }
 
@@ -538,9 +406,12 @@ mod tests {
         assert_eq!(CachePolicy::parse("off"), Some(CachePolicy::Off));
         assert_eq!(CachePolicy::parse("full"), Some(CachePolicy::Full));
         assert_eq!(CachePolicy::parse("FULL"), Some(CachePolicy::Full));
-        assert_eq!(CachePolicy::parse("lru:1024"), Some(CachePolicy::Lru(1024)));
-        assert_eq!(CachePolicy::parse("lru:0"), Some(CachePolicy::Off));
-        assert_eq!(CachePolicy::parse("lru:x"), None);
         assert_eq!(CachePolicy::parse("banana"), None);
+        // `lru:<n>` is not a policy: it takes the unparsable path, a warning
+        // and `full`.
+        assert_eq!(CachePolicy::parse("lru:1024"), None);
+        assert_eq!(CachePolicy::from_setting(Some("lru:1024")), CachePolicy::Full);
+        assert_eq!(CachePolicy::from_setting(None), CachePolicy::Full);
+        assert_eq!(CachePolicy::from_setting(Some("off")), CachePolicy::Off);
     }
 }

@@ -2,7 +2,7 @@
 //! process needs — model configuration, all trained parameters, the
 //! knowledge base, the vocabulary, training counts, and the prebuilt
 //! entity-payload plane — so startup is a validated bulk load instead of
-//! KB regeneration plus a tensor-by-tensor checkpoint parse.
+//! KB regeneration plus a separate parameter load.
 //!
 //! Sections (in the `tensor::frozen` container):
 //!
@@ -28,9 +28,12 @@
 //! are bit-identical to the live-built model it was frozen from (asserted
 //! end-to-end by `tests/frozen_golden.rs`).
 //!
-//! The f32 blobs load with a single bulk copy each
-//! ([`bootleg_tensor::frozen::bulk_f32`]); there is no per-element parse
-//! loop anywhere on this path.
+//! The parameter sections are the shared codec of
+//! [`bootleg_tensor::frozen::add_params`] — the same bytes training
+//! checkpoints and `BootlegModel::save` write. The f32 blobs load with a
+//! single bulk copy per tensor or plane ([`bootleg_tensor::frozen::copy_f32`],
+//! [`bootleg_tensor::frozen::bulk_f32`]); there is no per-element parse loop
+//! anywhere on this path.
 
 use crate::config::{BootlegConfig, ModelVariant};
 use crate::model::BootlegModel;
@@ -38,14 +41,14 @@ use crate::regularization::RegScheme;
 use bootleg_corpus::Vocab;
 use bootleg_kb::{EntityId, KnowledgeBase};
 use bootleg_nn::encoder::WordEncoderConfig;
-use bootleg_tensor::frozen::{f32_bytes, Builder, Cursor, FrozenReader, FrozenWriter};
-pub use bootleg_tensor::frozen::FrozenError;
+use bootleg_tensor::frozen::{
+    add_params, f32_bytes, restore_params, Builder, Cursor, FrozenReader, FrozenWriter,
+};
+pub use bootleg_tensor::frozen::{FrozenError, SECTION_PARAM_F32, SECTION_PARAM_MANIFEST};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 pub const SECTION_CONFIG: &str = "MODELCFG";
-pub const SECTION_PARAM_MANIFEST: &str = "PARAMNAM";
-pub const SECTION_PARAM_F32: &str = "PARAMF32";
 pub const SECTION_VOCAB: &str = "VOCAB";
 pub const SECTION_COUNTS: &str = "COUNTS";
 pub const SECTION_PLANE_META: &str = "EPLANMET";
@@ -60,7 +63,6 @@ pub const ARTIFACT_ENV: &str = "BOOTLEG_ARTIFACT";
 const MAX_DIM: usize = 1 << 14;
 const MAX_LAYERS: usize = 1 << 8;
 const MAX_VOCAB: usize = 1 << 24;
-const MAX_PARAMS: usize = 1 << 12;
 
 /// The path named by `BOOTLEG_ARTIFACT`, if set and non-empty.
 pub fn artifact_from_env() -> Option<PathBuf> {
@@ -281,20 +283,6 @@ pub fn freeze(
         });
     }
 
-    // Parameter manifest + one concatenated value blob, in store order
-    // (which is construction order, deterministic for a given config).
-    let mut manifest = Builder::new();
-    let mut values: Vec<f32> = Vec::with_capacity(model.params.num_scalars(false));
-    let n_params = model.params.iter().count();
-    manifest.u32(n_params as u32);
-    for (_, p) in model.params.iter() {
-        manifest.string(&p.name);
-        manifest.u32s(&p.data.shape().iter().map(|&d| d as u32).collect::<Vec<_>>());
-        manifest.u64(values.len() as u64);
-        manifest.u64(p.data.numel() as u64);
-        values.extend_from_slice(p.data.data());
-    }
-
     let mut vocab_b = Builder::new();
     vocab_b.u32(vocab.len() as u32);
     for w in vocab.words() {
@@ -306,8 +294,7 @@ pub fn freeze(
 
     let mut w = FrozenWriter::new();
     w.add(SECTION_CONFIG, encode_config(&model.config));
-    w.add(SECTION_PARAM_MANIFEST, manifest.into_bytes());
-    w.add(SECTION_PARAM_F32, f32_bytes(&values));
+    add_params(&mut w, &model.params);
     w.add(bootleg_kb::frozen::SECTION_KB, bootleg_kb::frozen::encode(kb));
     w.add(SECTION_VOCAB, vocab_b.into_bytes());
     w.add(SECTION_COUNTS, counts_b.into_bytes());
@@ -404,7 +391,7 @@ fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
         let _skip = bootleg_tensor::init::skip_init();
         BootlegModel::new(&kb, &vocab, &counts, config)
     };
-    restore_params(&mut model, reader)?;
+    restore_params(reader, &mut model.params)?;
 
     // The payload plane was built from the weights just restored, so it is
     // current *by construction*; install it under the post-restore version
@@ -430,72 +417,6 @@ fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
     }
 
     Ok(FrozenBundle { model, kb, vocab, counts })
-}
-
-/// Overwrites the freshly initialised parameters with the frozen values.
-/// Every manifest entry must match a parameter of the same name and shape;
-/// every parameter must be covered exactly once.
-fn restore_params(model: &mut BootlegModel, reader: &FrozenReader) -> Result<(), FrozenError> {
-    // Copy straight from the raw section into each parameter's own buffer:
-    // one memcpy per tensor, no intermediate whole-blob materialization.
-    let raw = reader.require(SECTION_PARAM_F32)?;
-    if raw.len() % 4 != 0 {
-        return Err(schema(
-            SECTION_PARAM_F32,
-            format!("{} bytes is not a whole number of f32s", raw.len()),
-        ));
-    }
-    let total_floats = raw.len() / 4;
-    let manifest = reader.require(SECTION_PARAM_MANIFEST)?;
-    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, manifest);
-
-    let by_name: HashMap<String, bootleg_tensor::ParamId> =
-        model.params.iter().map(|(id, p)| (p.name.clone(), id)).collect();
-    let n = c.count(MAX_PARAMS)?;
-    if n != by_name.len() {
-        return Err(schema(
-            SECTION_PARAM_MANIFEST,
-            format!("{n} frozen parameters, model has {}", by_name.len()),
-        ));
-    }
-    let mut seen = vec![false; n];
-    for _ in 0..n {
-        let name = c.string(1 << 10)?;
-        let shape: Vec<usize> = c.u32s(8)?.into_iter().map(|d| d as usize).collect();
-        let off = c.u64()? as usize;
-        let len = c.u64()? as usize;
-        let id = *by_name.get(&name).ok_or_else(|| {
-            schema(SECTION_PARAM_MANIFEST, format!("unknown parameter {name:?}"))
-        })?;
-        if seen[id.index()] {
-            return Err(schema(SECTION_PARAM_MANIFEST, format!("parameter {name:?} repeated")));
-        }
-        seen[id.index()] = true;
-        // `get_mut` bumps the store's version stamp, correctly invalidating
-        // any payload plane built from the pre-restore initialization.
-        let param = model.params.get_mut(id);
-        if param.data.shape() != &shape[..] {
-            return Err(schema(
-                SECTION_PARAM_MANIFEST,
-                format!(
-                    "parameter {name:?} has shape {shape:?} frozen, {:?} live",
-                    param.data.shape()
-                ),
-            ));
-        }
-        let end = off.checked_add(len).filter(|&e| e <= total_floats).ok_or_else(|| {
-            schema(SECTION_PARAM_MANIFEST, format!("parameter {name:?} values out of range"))
-        })?;
-        if len != param.data.numel() {
-            return Err(schema(
-                SECTION_PARAM_MANIFEST,
-                format!("parameter {name:?}: {len} values for {} slots", param.data.numel()),
-            ));
-        }
-        bootleg_tensor::frozen::copy_f32(&raw[off * 4..end * 4], param.data.data_mut());
-    }
-    c.finish()?;
-    Ok(())
 }
 
 #[cfg(test)]

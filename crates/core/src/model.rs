@@ -5,6 +5,8 @@ use crate::cooccur::CooccurrenceIndex;
 use bootleg_corpus::Vocab;
 use bootleg_kb::{EntityId, KnowledgeBase};
 use bootleg_nn::{AddAttn, Linear, MhaBlock, Mlp, WordEncoder};
+use bootleg_tensor::checkpoint::with_path;
+use bootleg_tensor::frozen::{add_params, restore_params, FrozenReader, FrozenWriter};
 use bootleg_tensor::{init, ParamId, ParamStore, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -246,17 +248,22 @@ impl BootlegModel {
         self.cooccur = Some(index);
     }
 
-    /// Saves all parameter values to a binary file (see
-    /// [`bootleg_tensor::io`] for the format).
+    /// Saves all parameter values, atomically, as a params-only frozen
+    /// container (the parameter sections of [`bootleg_tensor::frozen`]).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        bootleg_tensor::io::save_store(&self.params, path)
+        let mut w = FrozenWriter::new();
+        add_params(&mut w, &self.params);
+        w.save(path).map_err(|e| with_path(e.into(), path))
     }
 
     /// Restores parameter values from a file written by [`Self::save`].
     /// The model must have been constructed with the same configuration and
-    /// knowledge base (names and shapes are verified).
+    /// knowledge base (names and shapes are verified); on any error the
+    /// parameters are left as they were.
     pub fn load(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        bootleg_tensor::io::load_store(&mut self.params, path)
+        FrozenReader::load(path)
+            .and_then(|reader| restore_params(&reader, &mut self.params))
+            .map_err(|e| with_path(e.into(), path))
     }
 
     /// The learned (static) entity embedding `uₑ` — consumed by the

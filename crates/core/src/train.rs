@@ -4,7 +4,8 @@
 //! * **Atomic checkpoint/resume** — with a [`CheckpointConfig`] the loop
 //!   periodically writes a checksummed checkpoint (model parameters, Adam
 //!   moments, RNG chain, epoch/batch position, loss accumulators, anomaly
-//!   state) via `bootleg_tensor::checkpoint`, and [`train_resumable`]
+//!   state) as a `BTFZ` container through `bootleg_tensor::checkpoint`'s
+//!   manager, and [`train_resumable`]
 //!   restores the newest valid one on startup. A resumed run is
 //!   **bit-identical** to one that never stopped: the shuffle order of each
 //!   epoch is a pure function of `(seed, epoch)` and every piece of mutable
@@ -23,8 +24,9 @@ use crate::model::BootlegModel;
 use bootleg_corpus::Sentence;
 use bootleg_kb::KnowledgeBase;
 use bootleg_nn::optim::{clip_grad_norm, Adam};
-use bootleg_tensor::checkpoint::{
-    decode_u64s, encode_param_store, encode_u64s, Checkpoint, CheckpointManager,
+use bootleg_tensor::checkpoint::{with_path, CheckpointManager};
+use bootleg_tensor::frozen::{
+    add_params, restore_params, Builder, Cursor, FrozenError, FrozenReader, FrozenWriter,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -108,7 +110,7 @@ impl Default for TrainConfig {
 /// Where and how often to checkpoint a training run.
 #[derive(Clone, Debug)]
 pub struct CheckpointConfig {
-    /// Directory for `ckpt-<step>.btcp` files (created if missing).
+    /// Directory for `ckpt-<step>.btfz` files (created if missing).
     pub dir: PathBuf,
     /// Save every this many optimizer steps (0 = only on simulated crash).
     pub every_steps: u64,
@@ -248,11 +250,12 @@ pub struct TrainOutcome {
     pub status: TrainStatus,
 }
 
-// Checkpoint section names.
-const SEC_PARAMS: &str = "params";
-const SEC_OPTIM: &str = "optim";
-const SEC_STATE: &str = "train_state";
-const SEC_EPOCH_LOSSES: &str = "epoch_losses";
+// Checkpoint sections of the loop state; parameters and optimizer state
+// bring their own.
+const SEC_STATE: &str = "LOOPSTAT";
+const SEC_EPOCH_LOSSES: &str = "EPLOSSES";
+/// Corruption guard on the stored per-epoch loss list.
+const MAX_EPOCHS: usize = 1 << 20;
 
 /// All mutable loop state that must survive a crash for bit-exact resume.
 #[derive(Clone, Debug, PartialEq)]
@@ -289,8 +292,9 @@ impl LoopState {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        encode_u64s(&[
+    fn add_sections(&self, w: &mut FrozenWriter) {
+        let mut state = Builder::new();
+        state.u64s(&[
             self.epoch,
             self.next_batch,
             self.step_seed,
@@ -302,21 +306,30 @@ impl LoopState {
             self.warmup_seen,
             self.ema.to_bits(),
             self.n_examples,
-        ])
+        ]);
+        w.add(SEC_STATE, state.into_bytes());
+        let mut losses = Builder::new();
+        losses.u64s(&self.epoch_losses.iter().map(|l| l.to_bits() as u64).collect::<Vec<_>>());
+        w.add(SEC_EPOCH_LOSSES, losses.into_bytes());
     }
 
-    fn decode(state: &[u8], losses: &[u8]) -> io::Result<Self> {
-        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        let v = decode_u64s(state)?;
+    fn decode(reader: &FrozenReader) -> Result<Self, FrozenError> {
+        let mut c = Cursor::new(SEC_STATE, reader.require(SEC_STATE)?);
+        let v = c.u64s(11)?;
+        c.finish()?;
         let [epoch, next_batch, step_seed, attempt, steps, epoch_count, loss_bits, strikes, warmup_seen, ema_bits, n_examples] =
             v[..]
         else {
-            return Err(bad("train_state has wrong field count"));
+            return Err(FrozenError::schema(SEC_STATE, "wrong field count"));
         };
-        let epoch_losses = decode_u64s(losses)?
+        let mut c = Cursor::new(SEC_EPOCH_LOSSES, reader.require(SEC_EPOCH_LOSSES)?);
+        let epoch_losses = c
+            .u64s(MAX_EPOCHS)?
             .into_iter()
-            .map(|b| f32::from_bits(b as u32))
-            .collect();
+            .map(|b| u32::try_from(b).map(f32::from_bits))
+            .collect::<Result<_, _>>()
+            .map_err(|_| FrozenError::schema(SEC_EPOCH_LOSSES, "loss bits exceed 32"))?;
+        c.finish()?;
         Ok(Self {
             epoch,
             next_batch,
@@ -348,29 +361,23 @@ fn epoch_order(seed: u64, epoch: u64, n: usize) -> Vec<usize> {
     order
 }
 
-fn make_checkpoint(model: &BootlegModel, opt: &Adam, state: &LoopState) -> Checkpoint {
-    let mut ckpt = Checkpoint::new(state.steps);
-    ckpt.put(SEC_PARAMS, encode_param_store(&model.params));
-    ckpt.put(SEC_OPTIM, opt.serialize_state());
-    ckpt.put(SEC_STATE, state.encode());
-    ckpt.put(
-        SEC_EPOCH_LOSSES,
-        encode_u64s(&state.epoch_losses.iter().map(|l| l.to_bits() as u64).collect::<Vec<_>>()),
-    );
-    ckpt
+fn make_checkpoint(model: &BootlegModel, opt: &Adam, state: &LoopState) -> FrozenWriter {
+    let mut w = FrozenWriter::new();
+    add_params(&mut w, &model.params);
+    opt.add_state(&mut w);
+    state.add_sections(&mut w);
+    w
 }
 
 fn restore_checkpoint(
-    ckpt: &Checkpoint,
+    reader: &FrozenReader,
     model: &mut BootlegModel,
     opt: &mut Adam,
-) -> io::Result<LoopState> {
-    bootleg_tensor::checkpoint::decode_param_store_into(
-        &mut model.params,
-        ckpt.require(SEC_PARAMS)?,
-    )?;
-    opt.restore_state(ckpt.require(SEC_OPTIM)?)?;
-    LoopState::decode(ckpt.require(SEC_STATE)?, ckpt.require(SEC_EPOCH_LOSSES)?)
+) -> Result<LoopState, FrozenError> {
+    let state = LoopState::decode(reader)?;
+    opt.restore_state(reader)?;
+    restore_params(reader, &mut model.params)?;
+    Ok(state)
 }
 
 /// Trains `model` on the labeled mentions of `sentences`.
@@ -423,14 +430,14 @@ pub fn train_resumable(
             for rej in &loaded.rejected {
                 record_recovery(
                     &mut report,
-                    loaded.checkpoint.step,
+                    loaded.step,
                     0,
                     RecoveryKind::CheckpointFallback,
                     format!("skipped corrupt checkpoint: {}", rej.reason),
                 );
             }
-            st = restore_checkpoint(&loaded.checkpoint, model, &mut opt)
-                .map_err(|e| bootleg_tensor::checkpoint::with_path(e, &loaded.path))?;
+            st = restore_checkpoint(&loaded.reader, model, &mut opt)
+                .map_err(|e| with_path(e.into(), &loaded.path))?;
             if st.n_examples != examples.len() as u64 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -442,7 +449,7 @@ pub fn train_resumable(
                     ),
                 ));
             }
-            report.resumed_from = Some(loaded.checkpoint.step);
+            report.resumed_from = Some(st.steps);
             record_recovery(
                 &mut report,
                 st.steps,
@@ -580,7 +587,7 @@ pub fn train_resumable(
                 let ck = checkpoints.expect("manager implies config");
                 let due = ck.every_steps > 0 && st.steps.is_multiple_of(ck.every_steps);
                 if due || crash {
-                    let path = mgr.save(&make_checkpoint(model, &opt, &st))?;
+                    let path = mgr.save(st.steps, &make_checkpoint(model, &opt, &st))?;
                     bootleg_obs::info!(
                         "train.checkpoint.saved",
                         step = st.steps,
@@ -718,11 +725,10 @@ mod tests {
             n_examples: 500,
             epoch_losses: vec![2.5, 1.25],
         };
-        let back = LoopState::decode(
-            &st.encode(),
-            &encode_u64s(&st.epoch_losses.iter().map(|l| l.to_bits() as u64).collect::<Vec<_>>()),
-        )
-        .expect("decode");
+        let mut w = FrozenWriter::new();
+        st.add_sections(&mut w);
+        let reader = FrozenReader::from_bytes(w.to_bytes()).expect("valid container");
+        let back = LoopState::decode(&reader).expect("decode");
         assert_eq!(st, back);
     }
 }

@@ -1,8 +1,8 @@
 //! Cached-vs-uncached bit-identity for the entity-payload plane (PR 8).
 //!
 //! The entity-repr cache must be *invisible* to every model output: scores,
-//! predictions, mention representations and candidate representations under
-//! any fill policy must match the uncached forward pass bitwise, for every
+//! predictions, mention representations and candidate representations with
+//! the full plane must match the uncached forward pass bitwise, for every
 //! ablation variant. Comparisons use `f32::to_bits` so `-0.0`/`0.0` and NaN
 //! discrepancies cannot hide behind `==`. The cache must also drop stale
 //! payloads the moment the weights move (train step, manual mutation).
@@ -53,8 +53,8 @@ fn snapshots(m: &BootlegModel, kb: &KnowledgeBase, exs: &[Example]) -> Vec<Snaps
     exs.iter().map(|ex| snapshot(m, kb, ex)).collect()
 }
 
-/// Runs `exs` uncached, then under `Full` and a small `Lru`, asserting every
-/// output is bit-identical — sequential and batched engines both.
+/// Runs `exs` uncached, then under `Full`, asserting every output is
+/// bit-identical — sequential and batched engines both.
 fn assert_cache_invisible(cfg: BootlegConfig) {
     let (kb, c, mut m) = setup(cfg);
     let exs = corpus_examples(&c, 6);
@@ -69,31 +69,29 @@ fn assert_cache_invisible(cfg: BootlegConfig) {
         .map(|o| o.predictions)
         .collect();
 
-    for policy in [CachePolicy::Full, CachePolicy::Lru(16)] {
-        m.set_entity_cache_policy(policy.clone());
-        // Two passes: the first fills (all misses under Lru), the second
-        // serves hits — both must match the uncached baseline.
-        for pass in 0..2 {
-            let cached = snapshots(&m, &kb, &exs);
-            assert_eq!(cached, baseline, "{policy:?} pass {pass} diverges from uncached");
-        }
-        let batched: Vec<Vec<usize>> = m
-            .run(&kb, &exs, ForwardOptions::inference())
-            .expect("no deadline")
-            .into_iter()
-            .map(|o| o.predictions)
-            .collect();
-        assert_eq!(batched, batched_base, "{policy:?} batched predictions diverge");
+    m.set_entity_cache_policy(CachePolicy::Full);
+    // Two passes: the first builds the plane, the second serves from it —
+    // both must match the uncached baseline.
+    for pass in 0..2 {
+        let cached = snapshots(&m, &kb, &exs);
+        assert_eq!(cached, baseline, "pass {pass} diverges from uncached");
     }
+    let batched: Vec<Vec<usize>> = m
+        .run(&kb, &exs, ForwardOptions::inference())
+        .expect("no deadline")
+        .into_iter()
+        .map(|o| o.predictions)
+        .collect();
+    assert_eq!(batched, batched_base, "batched predictions diverge");
 }
 
 #[test]
-fn full_and_lru_match_uncached_default_config() {
+fn full_matches_uncached_default_config() {
     assert_cache_invisible(BootlegConfig::default());
 }
 
 #[test]
-fn full_and_lru_match_uncached_all_variants() {
+fn full_matches_uncached_all_variants() {
     for v in
         [ModelVariant::Full, ModelVariant::EntOnly, ModelVariant::TypeOnly, ModelVariant::KgOnly]
     {
@@ -102,69 +100,15 @@ fn full_and_lru_match_uncached_all_variants() {
 }
 
 #[test]
-fn full_and_lru_match_uncached_benchmark_config() {
+fn full_matches_uncached_benchmark_config() {
     // Kitchen sink: title feature (the segment-mean payload, NaN for
     // entities with empty titles), co-occurrence KG, ensemble scoring.
     assert_cache_invisible(BootlegConfig::default().benchmark());
 }
 
 #[test]
-fn full_and_lru_match_uncached_serving_config() {
+fn full_matches_uncached_serving_config() {
     assert_cache_invisible(BootlegConfig::default().serving());
-}
-
-/// The payload width of a config — mirror of the cache's internal layout,
-/// used to bound LRU memory from the public byte gauge.
-fn payload_width(cfg: &BootlegConfig) -> usize {
-    let mut w = 0;
-    if cfg.use_entity() {
-        w += cfg.entity_dim;
-    }
-    if cfg.use_types() {
-        w += cfg.type_dim;
-    }
-    if cfg.use_kg() {
-        w += cfg.rel_dim;
-    }
-    if cfg.title_feature {
-        w += cfg.word_encoder.d_model;
-    }
-    w
-}
-
-#[test]
-fn lru_stays_bounded_and_correct_under_threads() {
-    const CAP: usize = 64; // multiple of the shard count, so the bound is exact
-    let (kb, c, mut m) = setup(BootlegConfig::default());
-    let exs = corpus_examples(&c, 8);
-
-    m.set_entity_cache_policy(CachePolicy::Off);
-    let baseline = snapshots(&m, &kb, &exs);
-
-    m.set_entity_cache_policy(CachePolicy::Lru(CAP));
-    let m = &m; // shared immutably across the hammering threads
-    std::thread::scope(|scope| {
-        for t in 0..8 {
-            let baseline = &baseline;
-            let exs = &exs;
-            let kb = &kb;
-            scope.spawn(move || {
-                for round in 0..3 {
-                    for (ex, want) in exs.iter().zip(baseline) {
-                        let got = snapshot(m, kb, ex);
-                        assert_eq!(&got, want, "thread {t} round {round} diverged");
-                    }
-                }
-            });
-        }
-    });
-    let bound = CAP * payload_width(&m.config) * 4;
-    assert!(
-        m.entity_cache_bytes() <= bound,
-        "LRU exceeded its cap: {} > {bound} bytes",
-        m.entity_cache_bytes()
-    );
-    assert!(m.entity_cache_bytes() > 0, "LRU cached nothing despite traffic");
 }
 
 #[test]
@@ -238,27 +182,19 @@ fn compression_bumps_version_and_rebuilds_the_plane() {
 }
 
 #[test]
-fn train_step_invalidates_full_and_lru() {
+fn train_step_invalidates_full_plane() {
     let (kb, c, mut m) = setup(BootlegConfig::default());
     let exs = corpus_examples(&c, 3);
 
-    for policy in [CachePolicy::Full, CachePolicy::Lru(128)] {
-        m.set_entity_cache_policy(policy.clone());
-        let _ = snapshots(&m, &kb, &exs); // fill the cache pre-training
+    m.set_entity_cache_policy(CachePolicy::Full);
+    let _ = snapshots(&m, &kb, &exs); // fill the cache pre-training
 
-        let cfg = TrainConfig {
-            epochs: 1,
-            max_sentences: Some(8),
-            log_every: 0,
-            ..TrainConfig::default()
-        };
-        train(&mut m, &kb, &c.train, &cfg);
+    let cfg =
+        TrainConfig { epochs: 1, max_sentences: Some(8), log_every: 0, ..TrainConfig::default() };
+    train(&mut m, &kb, &c.train, &cfg);
 
-        let after_cached = snapshots(&m, &kb, &exs);
-        let policy_back = policy.clone();
-        m.set_entity_cache_policy(CachePolicy::Off);
-        let after_ref = snapshots(&m, &kb, &exs);
-        assert_eq!(after_cached, after_ref, "{policy:?} served stale payloads after training");
-        m.set_entity_cache_policy(policy_back);
-    }
+    let after_cached = snapshots(&m, &kb, &exs);
+    m.set_entity_cache_policy(CachePolicy::Off);
+    let after_ref = snapshots(&m, &kb, &exs);
+    assert_eq!(after_cached, after_ref, "served stale payloads after training");
 }

@@ -34,7 +34,9 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 fn params_bytes(m: &BootlegModel) -> Vec<u8> {
-    bootleg_tensor::checkpoint::encode_param_store(&m.params)
+    let mut w = bootleg_tensor::frozen::FrozenWriter::new();
+    bootleg_tensor::frozen::add_params(&mut w, &m.params);
+    w.to_bytes()
 }
 
 #[test]

@@ -20,7 +20,7 @@ fn save_load_roundtrip_preserves_predictions() {
 
     let dir = std::env::temp_dir().join("bootleg_model_io");
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("model.btlg");
+    let path = dir.join("model.btfz");
     trained.save(&path).expect("save");
 
     // Fresh model, same constructor inputs, then restore the weights.
@@ -47,7 +47,7 @@ fn load_rejects_different_architecture() {
     let model = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default());
     let dir = std::env::temp_dir().join("bootleg_model_io2");
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("model.btlg");
+    let path = dir.join("model.btfz");
     model.save(&path).expect("save");
 
     // A model with a different hidden width must refuse the file.

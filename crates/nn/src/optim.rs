@@ -6,9 +6,19 @@
 //! Adam update touching only those rows, which keeps per-step cost
 //! proportional to batch size rather than vocabulary size.
 
-use bootleg_tensor::checkpoint::{decode_tensors, decode_u64s, encode_tensors, encode_u64s};
+use bootleg_tensor::frozen::{
+    copy_f32, push_f32_bytes, Builder, Cursor, FrozenError, FrozenReader, FrozenWriter,
+};
 use bootleg_tensor::{ParamStore, Tensor};
-use std::io;
+
+/// Checkpoint section holding the step count and learning-rate bits.
+pub const SECTION_ADAM_STEP: &str = "ADAMSTEP";
+/// Checkpoint section holding the first moments, one f32 blob in
+/// parameter order.
+pub const SECTION_ADAM_M: &str = "ADAMMF32";
+/// Checkpoint section holding the second moments, laid out like
+/// [`SECTION_ADAM_M`].
+pub const SECTION_ADAM_V: &str = "ADAMVF32";
 
 /// Adam state and hyperparameters.
 #[derive(Debug)]
@@ -39,63 +49,61 @@ impl Adam {
         self.t
     }
 
-    /// Serializes the full optimizer state (step count, learning rate, and
-    /// both moment vectors) for checkpointing. Restoring this with
-    /// [`Adam::restore_state`] makes a resumed run bit-identical to one
-    /// that never stopped.
-    pub fn serialize_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let counters = encode_u64s(&[self.t, self.lr.to_bits() as u64]);
-        out.extend_from_slice(&(counters.len() as u64).to_le_bytes());
-        out.extend_from_slice(&counters);
-        let m = encode_tensors(&self.m);
-        out.extend_from_slice(&(m.len() as u64).to_le_bytes());
-        out.extend_from_slice(&m);
-        out.extend_from_slice(&encode_tensors(&self.v));
-        out
+    /// Adds the full optimizer state (step count, learning rate, and both
+    /// moment vectors) to a checkpoint. Restoring it with
+    /// [`Adam::restore_state`] makes a resumed run bit-identical to one that
+    /// never stopped. The moments carry no shapes of their own: they follow
+    /// the parameter order and shapes of the store the optimizer was built
+    /// for, which the checkpoint's parameter manifest records.
+    pub fn add_state(&self, w: &mut FrozenWriter) {
+        let mut counters = Builder::new();
+        counters.u64s(&[self.t, self.lr.to_bits() as u64]);
+        w.add(SECTION_ADAM_STEP, counters.into_bytes());
+        for (id, moments) in [(SECTION_ADAM_M, &self.m), (SECTION_ADAM_V, &self.v)] {
+            let mut blob = Vec::with_capacity(moments.iter().map(|t| t.numel() * 4).sum());
+            for t in moments {
+                push_f32_bytes(&mut blob, t.data());
+            }
+            w.add(id, blob);
+        }
     }
 
-    /// Restores state written by [`Adam::serialize_state`]. Fails with
-    /// `InvalidData` if the moment shapes do not match this optimizer's
+    /// Restores state written by [`Adam::add_state`]. Fails with a typed
+    /// error, leaving the optimizer untouched, if a section is missing or
+    /// malformed or the moment blobs do not match this optimizer's
     /// parameter set (i.e. the checkpoint came from a different model).
-    pub fn restore_state(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        if bytes.len() < 8 {
-            return Err(bad("adam state truncated"));
-        }
-        let counters_len =
-            u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
-        let rest = &bytes[8..];
-        if rest.len() < counters_len {
-            return Err(bad("adam state truncated"));
-        }
-        let counters = decode_u64s(&rest[..counters_len])?;
+    pub fn restore_state(&mut self, reader: &FrozenReader) -> Result<(), FrozenError> {
+        let mut c = Cursor::new(SECTION_ADAM_STEP, reader.require(SECTION_ADAM_STEP)?);
+        let counters = c.u64s(2)?;
+        c.finish()?;
         let [t, lr_bits] = counters[..] else {
-            return Err(bad("adam state has wrong counter count"));
+            let what = format!("{} counters, want 2", counters.len());
+            return Err(FrozenError::schema(SECTION_ADAM_STEP, what));
         };
-        let rest = &rest[counters_len..];
-        if rest.len() < 8 {
-            return Err(bad("adam state truncated"));
-        }
-        let m_len = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")) as usize;
-        let rest = &rest[8..];
-        if rest.len() < m_len {
-            return Err(bad("adam state truncated"));
-        }
-        let m = decode_tensors(&rest[..m_len])?;
-        let v = decode_tensors(&rest[m_len..])?;
-        if m.len() != self.m.len() || v.len() != self.v.len() {
-            return Err(bad("adam state tensor count mismatch"));
-        }
-        for (have, got) in self.m.iter().zip(&m).chain(self.v.iter().zip(&v)) {
-            if have.shape() != got.shape() {
-                return Err(bad("adam state shape mismatch"));
+        let lr_bits = u32::try_from(lr_bits).map_err(|_| {
+            FrozenError::schema(SECTION_ADAM_STEP, format!("lr bits {lr_bits:#x} exceed 32"))
+        })?;
+        let want = self.m.iter().map(|t| t.numel() * 4).sum::<usize>();
+        let m = reader.require(SECTION_ADAM_M)?;
+        let v = reader.require(SECTION_ADAM_V)?;
+        for (id, blob) in [(SECTION_ADAM_M, m), (SECTION_ADAM_V, v)] {
+            if blob.len() != want {
+                return Err(FrozenError::schema(
+                    id,
+                    format!("{} moment bytes, the parameter set needs {want}", blob.len()),
+                ));
             }
         }
         self.t = t;
-        self.lr = f32::from_bits(lr_bits as u32);
-        self.m = m;
-        self.v = v;
+        self.lr = f32::from_bits(lr_bits);
+        for (blob, moments) in [(m, &mut self.m), (v, &mut self.v)] {
+            let mut at = 0;
+            for t in moments.iter_mut() {
+                let n = t.numel() * 4;
+                copy_f32(&blob[at..at + n], t.data_mut());
+                at += n;
+            }
+        }
         Ok(())
     }
 
@@ -253,6 +261,12 @@ mod tests {
         assert!((ps.grad_norm() - 5.0).abs() < 1e-3);
     }
 
+    fn state_reader(opt: &Adam) -> FrozenReader {
+        let mut w = FrozenWriter::new();
+        opt.add_state(&mut w);
+        FrozenReader::from_bytes(w.to_bytes()).expect("valid container")
+    }
+
     #[test]
     fn state_roundtrip_resumes_bit_exact() {
         // Two optimizers: one runs 20 steps straight; the other runs 10,
@@ -283,7 +297,7 @@ mod tests {
         for _ in 0..10 {
             step(&mut ps_b, w_b, &mut opt_b);
         }
-        let state = opt_b.serialize_state();
+        let state = state_reader(&opt_b);
         let mut opt_c = Adam::new(&ps_b, 999.0); // wrong lr, overwritten by restore
         opt_c.restore_state(&state).expect("restore");
         assert_eq!(opt_c.steps(), 10);
@@ -298,16 +312,24 @@ mod tests {
         let mut ps = ParamStore::new();
         ps.add("w", Tensor::zeros(&[4]));
         let opt = Adam::new(&ps, 0.1);
-        let state = opt.serialize_state();
+        let mut w = FrozenWriter::new();
+        opt.add_state(&mut w);
+        let bytes = w.to_bytes();
+        let state = FrozenReader::from_bytes(bytes.clone()).expect("valid container");
 
         let mut other_ps = ParamStore::new();
         other_ps.add("w", Tensor::zeros(&[8]));
         let mut other = Adam::new(&other_ps, 0.1);
         assert!(other.restore_state(&state).is_err(), "shape mismatch must fail");
+        assert_eq!(other.lr, 0.1, "a failed restore leaves the optimizer untouched");
 
+        // Truncated or garbage bytes never become a reader; a container
+        // without the optimizer sections is a typed error.
+        assert!(FrozenReader::from_bytes(bytes[..bytes.len() / 2].to_vec()).is_err());
+        assert!(FrozenReader::from_bytes(b"garbage".to_vec()).is_err());
+        let empty = FrozenReader::from_bytes(FrozenWriter::new().to_bytes()).expect("empty");
         let mut same = Adam::new(&ps, 0.1);
-        assert!(same.restore_state(&state[..state.len() / 2]).is_err());
-        assert!(same.restore_state(b"garbage").is_err());
+        assert!(matches!(same.restore_state(&empty), Err(FrozenError::SectionMissing { .. })));
         same.restore_state(&state).expect("intact state restores");
     }
 

@@ -213,8 +213,14 @@ mod tests {
 
     // Arena state is thread-local and the process-global ENABLED flag is
     // shared across tests, so each test runs on its own thread with the
-    // flag left enabled.
+    // flag left enabled, one at a time: `disabled_arena_allocates_fresh`
+    // turns the flag off while it runs, which would make a concurrent
+    // pooling assertion drop its buffers.
     fn on_own_thread(f: impl FnOnce() + Send + 'static) {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // The mutex guards no data, so a test that panicked holding it
+        // leaves nothing inconsistent behind.
+        let _one_at_a_time = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         std::thread::spawn(f).join().unwrap();
     }
 

@@ -2,9 +2,12 @@
 //! binary format whose payloads are 64-byte aligned so f32 matrices can be
 //! loaded with a single bulk copy instead of a per-element parse loop.
 //!
-//! This module owns only the *container*: the header, the section table, the
-//! integrity checks, and the zero-copy float loads. The layers above
-//! (`kb::frozen`, `core::frozen`) decide what goes in each section.
+//! This module owns the *container* — the header, the section table, the
+//! integrity checks, the zero-copy float loads — plus the one parameter
+//! codec ([`add_params`] / [`restore_params`]) shared by the serving
+//! artifact, training checkpoints and `BootlegModel::save/load`. The layers
+//! above (`kb::frozen`, `core::frozen`, the trainer) decide what else goes
+//! in each file.
 //!
 //! Binary layout (little-endian):
 //!
@@ -34,6 +37,8 @@
 
 use crate::arena;
 use crate::checkpoint::{atomic_write, crc32c};
+use crate::param::{ParamId, ParamStore};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -51,6 +56,14 @@ pub const HEADER_LEN: usize = 40;
 pub const SECTION_ENTRY_LEN: usize = 32;
 /// Corruption guard: refuse files claiming more sections than this.
 pub const MAX_SECTIONS: usize = 256;
+/// Section id of the parameter manifest: per parameter its name, shape, and
+/// float offset + length into [`SECTION_PARAM_F32`].
+pub const SECTION_PARAM_MANIFEST: &str = "PARAMNAM";
+/// Section id of all parameter values, one concatenated little-endian blob
+/// in store order.
+pub const SECTION_PARAM_F32: &str = "PARAMF32";
+/// Corruption guard: refuse manifests claiming more parameters than this.
+const MAX_PARAMS: usize = 1 << 12;
 
 // ---------------------------------------------------------------------------
 // Typed errors.
@@ -120,6 +133,26 @@ impl std::error::Error for FrozenError {}
 impl From<io::Error> for FrozenError {
     fn from(e: io::Error) -> Self {
         FrozenError::Io { kind: e.kind(), msg: e.to_string() }
+    }
+}
+
+/// For callers that report through `io::Result` (training checkpoints,
+/// `BootlegModel::save/load`): I/O failures keep their kind, everything else
+/// is `InvalidData`.
+impl From<FrozenError> for io::Error {
+    fn from(e: FrozenError) -> Self {
+        let kind = match &e {
+            FrozenError::Io { kind, .. } => *kind,
+            _ => io::ErrorKind::InvalidData,
+        };
+        io::Error::new(kind, e.to_string())
+    }
+}
+
+impl FrozenError {
+    /// A [`FrozenError::SectionSchema`] for `section`.
+    pub fn schema(section: &str, what: impl Into<String>) -> Self {
+        FrozenError::SectionSchema { section: section.to_string(), what: what.into() }
     }
 }
 
@@ -330,23 +363,121 @@ pub fn copy_f32(bytes: &[u8], out: &mut [f32]) {
 
 /// Encodes f32s as little-endian bytes (the write-side dual of [`bulk_f32`]).
 pub fn f32_bytes(vals: &[f32]) -> Vec<u8> {
-    let mut out = vec![0u8; vals.len() * 4];
+    let mut out = Vec::with_capacity(vals.len() * 4);
+    push_f32_bytes(&mut out, vals);
+    out
+}
+
+/// Appends f32s to `out` as little-endian bytes, for blobs that concatenate
+/// several tensors (parameter values, optimizer moments).
+pub fn push_f32_bytes(out: &mut Vec<u8>, vals: &[f32]) {
     #[cfg(target_endian = "little")]
     {
-        // Safety: same sizes, distinct allocations, u8 accepts any bytes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                vals.as_ptr() as *const u8,
-                out.as_mut_ptr(),
-                vals.len() * 4,
-            );
-        }
+        // SAFETY: f32 is four initialised bytes with no padding, so the
+        // `vals.len() * 4` bytes behind `vals` are a valid `[u8]` for as
+        // long as `vals` is borrowed.
+        let bytes =
+            unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 4) };
+        out.extend_from_slice(bytes);
     }
     #[cfg(not(target_endian = "little"))]
-    for (i, v) in vals.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+    for v in vals {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    out
+}
+
+// ---------------------------------------------------------------------------
+// The parameter codec: `PARAMNAM` manifest + `PARAMF32` value blob.
+// ---------------------------------------------------------------------------
+
+/// Adds the parameter manifest and value sections for every parameter of
+/// `store`, in store order (construction order, deterministic for a given
+/// model config).
+pub fn add_params(w: &mut FrozenWriter, store: &ParamStore) {
+    let mut manifest = Builder::new();
+    let mut values = Vec::with_capacity(store.num_scalars(false) * 4);
+    manifest.u32(store.len() as u32);
+    for (_, p) in store.iter() {
+        manifest.string(&p.name);
+        manifest.u32s(&p.data.shape().iter().map(|&d| d as u32).collect::<Vec<_>>());
+        manifest.u64((values.len() / 4) as u64);
+        manifest.u64(p.data.numel() as u64);
+        push_f32_bytes(&mut values, p.data.data());
+    }
+    w.add(SECTION_PARAM_MANIFEST, manifest.into_bytes());
+    w.add(SECTION_PARAM_F32, values);
+}
+
+/// Overwrites every parameter of `store` from the sections written by
+/// [`add_params`], one bulk copy per tensor. Every manifest entry must name
+/// a parameter of `store` with the same shape, and every parameter must be
+/// covered exactly once. The whole manifest is validated before the first
+/// value is written, so a failed restore leaves `store` untouched. Writes go
+/// through `get_mut`, bumping the store version so weight-derived caches
+/// (the entity-payload plane) rebuild.
+pub fn restore_params(reader: &FrozenReader, store: &mut ParamStore) -> Result<(), FrozenError> {
+    let raw = reader.require(SECTION_PARAM_F32)?;
+    if raw.len() % 4 != 0 {
+        return Err(FrozenError::schema(
+            SECTION_PARAM_F32,
+            format!("{} bytes is not a whole number of f32s", raw.len()),
+        ));
+    }
+    let total_floats = (raw.len() / 4) as u64;
+    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, reader.require(SECTION_PARAM_MANIFEST)?);
+    let n = c.count(MAX_PARAMS)?;
+    if n != store.len() {
+        return Err(FrozenError::schema(
+            SECTION_PARAM_MANIFEST,
+            format!("{n} stored parameters, model has {}", store.len()),
+        ));
+    }
+    let by_name: HashMap<&str, ParamId> =
+        store.iter().map(|(id, p)| (p.name.as_str(), id)).collect();
+    // (parameter, byte offset of its values in `raw`), checked in full
+    // before anything is copied.
+    let mut plan = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    for _ in 0..n {
+        let name = c.string(1 << 10)?;
+        let shape = c.u32s(8)?;
+        let off = c.u64()?;
+        let len = c.u64()?;
+        let id = *by_name.get(name.as_str()).ok_or_else(|| {
+            FrozenError::schema(SECTION_PARAM_MANIFEST, format!("unknown parameter {name:?}"))
+        })?;
+        if std::mem::replace(&mut seen[id.index()], true) {
+            let what = format!("parameter {name:?} repeated");
+            return Err(FrozenError::schema(SECTION_PARAM_MANIFEST, what));
+        }
+        let live = &store.get(id).data;
+        if !live.shape().iter().map(|&d| d as u64).eq(shape.iter().map(|&d| d as u64)) {
+            return Err(FrozenError::schema(
+                SECTION_PARAM_MANIFEST,
+                format!("parameter {name:?} has shape {shape:?} stored, {:?} live", live.shape()),
+            ));
+        }
+        if off.checked_add(len).filter(|&end| end <= total_floats).is_none() {
+            return Err(FrozenError::schema(
+                SECTION_PARAM_MANIFEST,
+                format!("parameter {name:?} values out of range"),
+            ));
+        }
+        if len != live.numel() as u64 {
+            return Err(FrozenError::schema(
+                SECTION_PARAM_MANIFEST,
+                format!("parameter {name:?}: {len} values for {} slots", live.numel()),
+            ));
+        }
+        // In range of `raw`, so `off * 4` fits in usize.
+        plan.push((id, off as usize * 4));
+    }
+    c.finish()?;
+    for (id, at) in plan {
+        let dst = store.get_mut(id).data.data_mut();
+        copy_f32(&raw[at..at + dst.len() * 4], dst);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -582,6 +713,16 @@ impl<'a> Cursor<'a> {
         Ok(bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
     }
 
+    /// Length-prefixed list of u64s.
+    pub fn u64s(&mut self, max: usize) -> Result<Vec<u64>, FrozenError> {
+        let n = self.count(max)?;
+        let bytes = self.take(n.checked_mul(8).ok_or_else(|| self.schema("u64 list overflow"))?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
     /// Asserts the payload is fully consumed (schema drift guard).
     pub fn finish(self) -> Result<(), FrozenError> {
         if self.pos != self.buf.len() {
@@ -635,6 +776,14 @@ impl Builder {
         self.u32(vs.len() as u32);
         for &v in vs {
             self.u32(v);
+        }
+        self
+    }
+
+    pub fn u64s(&mut self, vs: &[u64]) -> &mut Self {
+        self.u32(vs.len() as u32);
+        for &v in vs {
+            self.u64(v);
         }
         self
     }

@@ -26,7 +26,6 @@ pub mod frozen;
 pub mod gradcheck;
 pub mod graph;
 pub mod ops;
-pub mod io;
 pub mod init;
 pub mod kernels;
 pub mod param;

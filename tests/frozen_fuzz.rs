@@ -1,24 +1,38 @@
-//! Hostile-input fuzz suite for the frozen-artifact loader.
+//! Hostile-input fuzz suite for the frozen-container loaders.
 //!
-//! Every mutation of a valid artifact — truncation, bit flips, shuffled
-//! section offsets, inflated lengths, duplicated section ids, and even
-//! corruption with all checksums recomputed by the attacker — must come
-//! back as a typed [`FrozenError`], never a panic, an out-of-bounds slice,
+//! Two kinds of file share the `BTFZ` container: the serving artifact and
+//! the training checkpoint. Every mutation of a valid one — truncation, bit
+//! flips, shuffled section offsets, inflated lengths, duplicated section
+//! ids, and even corruption with all checksums recomputed by the attacker —
+//! must come back as a typed error, never a panic, an out-of-bounds slice,
 //! or an unwind. Both loader layers are exercised: the raw container
-//! validator ([`FrozenReader::from_bytes`]) and the full semantic thaw
-//! ([`bootleg::core::frozen::thaw_from_bytes`]).
+//! validator ([`FrozenReader::from_bytes`]) and the semantic layer above it
+//! — the full thaw ([`bootleg::core::frozen::thaw_from_bytes`]) for
+//! artifacts, and resume through [`train_resumable`] for checkpoints, where
+//! a refused newest file may instead fall back to an older valid one.
 
-use bootleg::core::frozen;
+use bootleg::core::{
+    frozen, train_resumable, BootlegConfig, BootlegModel, CheckpointConfig, FaultPlan,
+    RecoveryKind, TrainConfig,
+};
+use bootleg::corpus::Corpus;
+use bootleg::kb::{EntityId, KnowledgeBase};
+use bootleg::nn::optim::{SECTION_ADAM_M, SECTION_ADAM_STEP, SECTION_ADAM_V};
 use bootleg::tensor::checkpoint::crc32c;
-use bootleg::tensor::frozen::{FrozenReader, HEADER_LEN, SECTION_ENTRY_LEN};
+use bootleg::tensor::frozen::{
+    Builder, Cursor, FrozenReader, FrozenWriter, HEADER_LEN, SECTION_ENTRY_LEN,
+    SECTION_PARAM_F32, SECTION_PARAM_MANIFEST,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// A small but fully populated artifact (model + KB + vocab + counts),
-/// built once and mutated per test case.
-fn artifact() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
+/// The small seeded world both base files are built from.
+fn world() -> &'static (KnowledgeBase, Corpus, HashMap<EntityId, u32>) {
+    static WORLD: OnceLock<(KnowledgeBase, Corpus, HashMap<EntityId, u32>)> = OnceLock::new();
+    WORLD.get_or_init(|| {
         let kb = bootleg::kb::generate(&bootleg::kb::KbConfig {
             n_entities: 90,
             ..bootleg::kb::KbConfig::micro(9)
@@ -28,14 +42,151 @@ fn artifact() -> &'static [u8] {
             &bootleg::corpus::CorpusConfig { n_pages: 16, seed: 9, ..Default::default() },
         );
         let counts = bootleg::corpus::stats::entity_counts(&corpus.train, true);
-        let model = bootleg::core::BootlegModel::new(
-            &kb,
-            &corpus.vocab,
-            &counts,
-            bootleg::core::BootlegConfig::default(),
-        );
-        frozen::freeze(&model, &kb, &corpus.vocab).expect("freeze fuzz base artifact")
+        (kb, corpus, counts)
     })
+}
+
+fn fresh_model() -> BootlegModel {
+    let (kb, corpus, counts) = world();
+    BootlegModel::new(kb, &corpus.vocab, counts, BootlegConfig::default())
+}
+
+/// A small but fully populated artifact (model + KB + vocab + counts),
+/// built once and mutated per test case.
+fn artifact() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (kb, corpus, _) = world();
+        frozen::freeze(&fresh_model(), kb, &corpus.vocab).expect("freeze fuzz base artifact")
+    })
+}
+
+/// Two sentences, one per step: resuming from the last checkpoint has no
+/// batches left, resuming from the one before it trains a single step.
+fn train_config() -> TrainConfig {
+    TrainConfig { epochs: 1, batch_size: 1, max_sentences: Some(2), ..TrainConfig::default() }
+}
+
+/// The two newest checkpoints of a short training run, `(step, bytes)`,
+/// older first. The newest is the one every case mutates.
+fn checkpoints() -> &'static [(u64, Vec<u8>); 2] {
+    static FILES: OnceLock<[(u64, Vec<u8>); 2]> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let (kb, corpus, _) = world();
+        let dir = scratch_dir();
+        let ck = CheckpointConfig { dir: dir.clone(), every_steps: 1, keep_last: 2 };
+        train_resumable(
+            &mut fresh_model(),
+            kb,
+            &corpus.train,
+            &train_config(),
+            Some(&ck),
+            &FaultPlan::none(),
+        )
+        .expect("fixture training run");
+        let mgr = bootleg::tensor::checkpoint::CheckpointManager::new(&dir, 2).expect("dir");
+        let files: Vec<(u64, Vec<u8>)> = mgr
+            .list()
+            .expect("list")
+            .into_iter()
+            .map(|(step, path)| (step, std::fs::read(path).expect("read checkpoint")))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        files.try_into().expect("the run leaves two checkpoints")
+    })
+}
+
+fn newest_checkpoint() -> &'static [u8] {
+    &checkpoints()[1].1
+}
+
+fn scratch_dir() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("bootleg_fuzz_ckpt_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// How a resume went with `newest` as the newest file of a checkpoint
+/// directory that also holds the older valid checkpoint.
+#[derive(Debug, PartialEq)]
+enum Resume {
+    /// The newest file was restored.
+    FromNewest,
+    /// The newest file was skipped and the older one restored.
+    FellBack,
+    /// Resume stopped with a typed (`InvalidData`) error.
+    Refused,
+}
+
+fn resume_with_newest(newest: Vec<u8>) -> Resume {
+    let (kb, corpus, _) = world();
+    let [(older_step, older), (newest_step, _)] = checkpoints();
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(dir.join(format!("ckpt-{older_step:012}.btfz")), older).expect("write");
+    std::fs::write(dir.join(format!("ckpt-{newest_step:012}.btfz")), newest).expect("write");
+    let ck = CheckpointConfig { dir: dir.clone(), every_steps: 0, keep_last: 2 };
+    let out = train_resumable(
+        &mut fresh_model(),
+        kb,
+        &corpus.train,
+        &train_config(),
+        Some(&ck),
+        &FaultPlan::none(),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    match out {
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "untyped failure: {e}");
+            Resume::Refused
+        }
+        Ok(o) => {
+            let fell_back =
+                o.report.recovery_events.iter().any(|e| e.kind == RecoveryKind::CheckpointFallback);
+            match o.report.resumed_from {
+                Some(step) if step == *newest_step && !fell_back => Resume::FromNewest,
+                Some(step) if step == *older_step && fell_back => Resume::FellBack,
+                other => panic!("resumed from {other:?} (fallback: {fell_back})"),
+            }
+        }
+    }
+}
+
+/// The two base files every mutation is applied to.
+#[derive(Clone, Copy, Debug)]
+enum Base {
+    Artifact,
+    Checkpoint,
+}
+
+const BASES: [Base; 2] = [Base::Artifact, Base::Checkpoint];
+
+impl Base {
+    fn bytes(self) -> &'static [u8] {
+        match self {
+            Base::Artifact => artifact(),
+            Base::Checkpoint => newest_checkpoint(),
+        }
+    }
+
+    /// Whether the semantic layer refuses `bytes`: an artifact fails to
+    /// thaw; a checkpoint is not resumed from (typed error or fallback).
+    fn refuses(self, bytes: Vec<u8>) -> bool {
+        match self {
+            Base::Artifact => frozen::thaw_from_bytes(bytes).is_err(),
+            Base::Checkpoint => resume_with_newest(bytes) != Resume::FromNewest,
+        }
+    }
+
+    /// Runs the semantic layer, accepting any outcome but a panic.
+    fn load_any(self, bytes: Vec<u8>) {
+        match self {
+            Base::Artifact => drop(frozen::thaw_from_bytes(bytes)),
+            Base::Checkpoint => drop(resume_with_newest(bytes)),
+        }
+    }
 }
 
 fn section_count(bytes: &[u8]) -> usize {
@@ -79,6 +230,7 @@ fn resign(bytes: &mut [u8]) {
 fn pristine_artifact_thaws() {
     let bundle = frozen::thaw_from_bytes(artifact().to_vec()).expect("valid artifact thaws");
     assert_eq!(bundle.model.n_entities, 90);
+    assert_eq!(resume_with_newest(newest_checkpoint().to_vec()), Resume::FromNewest);
 }
 
 proptest! {
@@ -86,65 +238,75 @@ proptest! {
 
     #[test]
     fn truncation_yields_typed_error(keep_frac in 0.0f64..1.0) {
-        let base = artifact();
-        let keep = ((base.len() - 1) as f64 * keep_frac) as usize;
-        let cut = base[..keep].to_vec();
-        prop_assert!(FrozenReader::from_bytes(cut.clone()).is_err());
-        prop_assert!(frozen::thaw_from_bytes(cut).is_err());
+        for base in BASES {
+            let bytes = base.bytes();
+            let keep = ((bytes.len() - 1) as f64 * keep_frac) as usize;
+            let cut = bytes[..keep].to_vec();
+            prop_assert!(FrozenReader::from_bytes(cut.clone()).is_err());
+            prop_assert!(base.refuses(cut), "{base:?}");
+        }
     }
 
     #[test]
     fn bit_flip_yields_typed_error(pos_frac in 0.0f64..1.0, bit in 0u32..8) {
-        let mut bytes = artifact().to_vec();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= 1 << bit;
-        prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
-        prop_assert!(frozen::thaw_from_bytes(bytes).is_err());
+        for base in BASES {
+            let mut bytes = base.bytes().to_vec();
+            let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+            bytes[pos] ^= 1 << bit;
+            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(base.refuses(bytes), "{base:?}");
+        }
     }
 
     #[test]
     fn shuffled_section_offsets_yield_typed_error(a_raw in 0usize..64, step in 1usize..64) {
-        let mut bytes = artifact().to_vec();
-        let n = section_count(&bytes);
-        prop_assert!(n >= 2, "base artifact must have at least two sections");
-        let a = a_raw % n;
-        let b = (a + 1 + step % (n - 1)) % n;
-        let (ea, eb) = (entry(a) + 8, entry(b) + 8);
-        let off_a = entry_u64(&bytes, ea);
-        let off_b = entry_u64(&bytes, eb);
-        bytes[ea..ea + 8].copy_from_slice(&off_b.to_le_bytes());
-        bytes[eb..eb + 8].copy_from_slice(&off_a.to_le_bytes());
-        resign(&mut bytes);
-        prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
-        prop_assert!(frozen::thaw_from_bytes(bytes).is_err());
+        for base in BASES {
+            let mut bytes = base.bytes().to_vec();
+            let n = section_count(&bytes);
+            prop_assert!(n >= 2, "base file must have at least two sections");
+            let a = a_raw % n;
+            let b = (a + 1 + step % (n - 1)) % n;
+            let (ea, eb) = (entry(a) + 8, entry(b) + 8);
+            let off_a = entry_u64(&bytes, ea);
+            let off_b = entry_u64(&bytes, eb);
+            bytes[ea..ea + 8].copy_from_slice(&off_b.to_le_bytes());
+            bytes[eb..eb + 8].copy_from_slice(&off_a.to_le_bytes());
+            resign(&mut bytes);
+            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(base.refuses(bytes), "{base:?}");
+        }
     }
 
     #[test]
     fn inflated_length_yields_typed_error(idx_raw in 0usize..64, extra in 64u64..(1u64 << 40)) {
-        let mut bytes = artifact().to_vec();
-        let n = section_count(&bytes);
-        let e = entry(idx_raw % n) + 16;
-        // +64 at minimum: larger than any alignment slack, so the claimed
-        // end always lands beyond the payload region.
-        let inflated = entry_u64(&bytes, e).saturating_add(extra);
-        bytes[e..e + 8].copy_from_slice(&inflated.to_le_bytes());
-        resign(&mut bytes);
-        prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
-        prop_assert!(frozen::thaw_from_bytes(bytes).is_err());
+        for base in BASES {
+            let mut bytes = base.bytes().to_vec();
+            let n = section_count(&bytes);
+            let e = entry(idx_raw % n) + 16;
+            // +64 at minimum: larger than any alignment slack, so the
+            // claimed end always lands beyond the payload region.
+            let inflated = entry_u64(&bytes, e).saturating_add(extra);
+            bytes[e..e + 8].copy_from_slice(&inflated.to_le_bytes());
+            resign(&mut bytes);
+            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(base.refuses(bytes), "{base:?}");
+        }
     }
 
     #[test]
     fn duplicated_section_id_yields_typed_error(a_raw in 0usize..64, step in 1usize..64) {
-        let mut bytes = artifact().to_vec();
-        let n = section_count(&bytes);
-        prop_assert!(n >= 2);
-        let a = a_raw % n;
-        let b = (a + 1 + step % (n - 1)) % n;
-        let id_a: [u8; 8] = bytes[entry(a)..entry(a) + 8].try_into().expect("8-byte id");
-        bytes[entry(b)..entry(b) + 8].copy_from_slice(&id_a);
-        resign(&mut bytes);
-        prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
-        prop_assert!(frozen::thaw_from_bytes(bytes).is_err());
+        for base in BASES {
+            let mut bytes = base.bytes().to_vec();
+            let n = section_count(&bytes);
+            prop_assert!(n >= 2);
+            let a = a_raw % n;
+            let b = (a + 1 + step % (n - 1)) % n;
+            let id_a: [u8; 8] = bytes[entry(a)..entry(a) + 8].try_into().expect("8-byte id");
+            bytes[entry(b)..entry(b) + 8].copy_from_slice(&id_a);
+            resign(&mut bytes);
+            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(base.refuses(bytes), "{base:?}");
+        }
     }
 
     #[test]
@@ -157,16 +319,17 @@ proptest! {
         // so the only guarantees left are: no panic, and any acceptance at
         // the semantic layer is of *schema-valid* data. A panic anywhere
         // fails this test.
-        let mut bytes = artifact().to_vec();
-        let n = section_count(&bytes);
-        let payload_start = HEADER_LEN + n * SECTION_ENTRY_LEN;
-        let span = bytes.len() - 4 - payload_start;
-        let pos = payload_start + ((span - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= flip;
-        resign(&mut bytes);
-        if let Ok(reader) = FrozenReader::from_bytes(bytes.clone()) {
-            drop(reader);
-            let _ = frozen::thaw_from_bytes(bytes);
+        for base in BASES {
+            let mut bytes = base.bytes().to_vec();
+            let n = section_count(&bytes);
+            let payload_start = HEADER_LEN + n * SECTION_ENTRY_LEN;
+            let span = bytes.len() - 4 - payload_start;
+            let pos = payload_start + ((span - 1) as f64 * pos_frac) as usize;
+            bytes[pos] ^= flip;
+            resign(&mut bytes);
+            if FrozenReader::from_bytes(bytes.clone()).is_ok() {
+                base.load_any(bytes);
+            }
         }
     }
 
@@ -174,7 +337,138 @@ proptest! {
     fn random_garbage_yields_typed_error(
         garbage in proptest::collection::vec(0u8..=255, 0..512),
     ) {
-        prop_assert!(FrozenReader::from_bytes(garbage.clone()).is_err());
-        prop_assert!(frozen::thaw_from_bytes(garbage).is_err());
+        for base in BASES {
+            prop_assert!(FrozenReader::from_bytes(garbage.clone()).is_err());
+            prop_assert!(base.refuses(garbage.clone()), "{base:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Schema-level attacks: one section rewritten and the file re-signed by a
+// correct writer, so every container check passes and only the decoders
+// stand in the way.
+// ---------------------------------------------------------------------------
+
+/// `base` with section `id` replaced by `payload` (or dropped for `None`).
+fn with_section(base: &[u8], id: &str, payload: Option<Vec<u8>>) -> Vec<u8> {
+    let reader = FrozenReader::from_bytes(base.to_vec()).expect("valid base");
+    let mut w = FrozenWriter::new();
+    for s in reader.sections() {
+        let body =
+            if s.id == id { payload.clone() } else { reader.section(&s.id).map(<[u8]>::to_vec) };
+        if let Some(body) = body {
+            w.add(&s.id, body);
+        }
+    }
+    w.to_bytes()
+}
+
+/// One parameter-manifest entry.
+#[derive(Clone)]
+struct ManifestEntry {
+    name: String,
+    shape: Vec<u32>,
+    off: u64,
+    len: u64,
+}
+
+fn manifest_of(base: &[u8]) -> Vec<ManifestEntry> {
+    let reader = FrozenReader::from_bytes(base.to_vec()).expect("valid base");
+    let payload = reader.require(SECTION_PARAM_MANIFEST).expect("manifest");
+    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, payload);
+    let n = c.count(1 << 12).expect("count");
+    (0..n)
+        .map(|_| ManifestEntry {
+            name: c.string(1 << 10).expect("name"),
+            shape: c.u32s(8).expect("shape"),
+            off: c.u64().expect("off"),
+            len: c.u64().expect("len"),
+        })
+        .collect()
+}
+
+fn encode_manifest(count: u32, entries: &[ManifestEntry]) -> Vec<u8> {
+    let mut b = Builder::new();
+    b.u32(count);
+    for e in entries {
+        b.string(&e.name).u32s(&e.shape).u64(e.off).u64(e.len);
+    }
+    b.into_bytes()
+}
+
+fn u64s(vals: &[u64]) -> Vec<u8> {
+    let mut b = Builder::new();
+    b.u64s(vals);
+    b.into_bytes()
+}
+
+/// Hostile parameter manifests, shared by artifacts and checkpoints.
+fn manifest_attacks(base: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let entries = manifest_of(base);
+    let n = entries.len() as u32;
+    let edit = |f: &dyn Fn(&mut ManifestEntry)| {
+        let mut e = entries.clone();
+        f(&mut e[0]);
+        encode_manifest(n, &e)
+    };
+    let huge = 1u64 << 62;
+    // Entry 0 twice, the last entry never: right count, incomplete coverage.
+    let repeated = [&entries[..1], &entries[..entries.len() - 1]].concat();
+    vec![
+        ("param count + 1", encode_manifest(n + 1, &entries)),
+        ("param count u32::MAX", encode_manifest(u32::MAX, &entries)),
+        ("param count 0", encode_manifest(0, &[])),
+        ("first entry repeated", encode_manifest(n, &repeated)),
+        ("shape [2^31, 4]", edit(&|e| e.shape = vec![1 << 31, 4])),
+        ("shape of rank 9", edit(&|e| e.shape = vec![1; 9])),
+        ("2^62 floats at offset 0", edit(&|e| e.len = huge)),
+        ("4 floats at offset 2^62", edit(&|e| (e.off, e.len) = (huge, 4))),
+        ("2^62 floats at offset 2^62", edit(&|e| (e.off, e.len) = (huge, huge))),
+        ("offset u64::MAX", edit(&|e| e.off = u64::MAX)),
+        ("unknown name", edit(&|e| e.name = "no.such.param".into())),
+    ]
+}
+
+#[test]
+fn resigned_hostile_param_manifests_yield_typed_errors() {
+    for base in BASES {
+        for (what, manifest) in manifest_attacks(base.bytes()) {
+            let bytes = with_section(base.bytes(), SECTION_PARAM_MANIFEST, Some(manifest));
+            assert!(base.refuses(bytes), "{base:?}: {what} was accepted");
+        }
+        let short = {
+            let reader = FrozenReader::from_bytes(base.bytes().to_vec()).expect("valid base");
+            let raw = reader.require(SECTION_PARAM_F32).expect("values");
+            raw[..raw.len() - 4].to_vec()
+        };
+        let bytes = with_section(base.bytes(), SECTION_PARAM_F32, Some(short));
+        assert!(base.refuses(bytes), "{base:?}: short value blob was accepted");
+    }
+}
+
+#[test]
+fn resigned_hostile_checkpoint_sections_yield_typed_errors() {
+    let base = newest_checkpoint();
+    let reader = FrozenReader::from_bytes(base.to_vec()).expect("valid base");
+    let moments = reader.require(SECTION_ADAM_M).expect("moments").to_vec();
+    let inflated = [moments.clone(), vec![0; 64]].concat();
+    let attacks: Vec<(&str, &str, Option<Vec<u8>>)> = vec![
+        (SECTION_ADAM_M, "moments inflated by 64 bytes", Some(inflated)),
+        (SECTION_ADAM_V, "moments one float short", Some(moments[..moments.len() - 4].to_vec())),
+        (SECTION_ADAM_M, "moments empty", Some(Vec::new())),
+        (SECTION_ADAM_V, "moments missing", None),
+        (SECTION_ADAM_STEP, "three counters", Some(u64s(&[1, 2, 3]))),
+        (SECTION_ADAM_STEP, "lr wider than f32", Some(u64s(&[1, u64::MAX]))),
+        (SECTION_ADAM_STEP, "count claims 2^32 - 1", Some(u32::MAX.to_le_bytes().to_vec())),
+        ("LOOPSTAT", "ten loop fields", Some(u64s(&[0; 10]))),
+        ("LOOPSTAT", "loop state missing", None),
+        ("EPLOSSES", "loss count claims 2^32 - 1", Some(u32::MAX.to_le_bytes().to_vec())),
+        ("EPLOSSES", "loss wider than f32", Some(u64s(&[u64::MAX]))),
+        (SECTION_PARAM_F32, "values missing", None),
+    ];
+    for (id, what, payload) in attacks {
+        let bytes = with_section(base, id, payload);
+        assert_eq!(resume_with_newest(bytes), Resume::Refused, "{id}: {what}");
     }
 }
