@@ -92,7 +92,8 @@ fn benchmark_config_matches_sequential_bitwise() {
     // two-hop KG, position encoding, ensemble scoring.
     let (kb, c, _) = setup();
     let counts = bootleg_corpus::stats::entity_counts(&c.train, true);
-    let mut m = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().benchmark());
+    let cfg = BootlegConfig { kg_two_hop: true, ..BootlegConfig::default().benchmark() };
+    let mut m = BootlegModel::new(&kb, &c.vocab, &counts, cfg);
     m.set_cooccurrence(bootleg_core::cooccur::CooccurrenceIndex::build(&c.train, 2));
     let pool = corpus_examples(&c, 8);
     assert_parity(&kb, &m, &pool, ForwardOptions::inference());
