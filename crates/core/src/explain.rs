@@ -8,6 +8,7 @@
 //! paper's §5 analysis at the level of a single prediction.
 
 use crate::example::Example;
+use crate::forward::ForwardOptions;
 use crate::model::BootlegModel;
 use bootleg_kb::KnowledgeBase;
 
@@ -48,13 +49,18 @@ pub struct Explanation {
 impl BootlegModel {
     /// Explains the model's prediction for mention `mention_idx` of `ex`.
     pub fn explain(&self, kb: &KnowledgeBase, ex: &Example, mention_idx: usize) -> Explanation {
-        let base = self.infer(kb, ex);
+        let infer = |m: &BootlegModel| {
+            m.run(kb, std::slice::from_ref(ex), ForwardOptions::inference())
+                .expect("unlimited deadline cannot interrupt")
+                .remove(0)
+        };
+        let base = infer(self);
         let prediction = base.predictions[mention_idx];
         let margin = margin_of(&base.scores[mention_idx], prediction);
 
         let mut contributions = Vec::new();
         for signal in [Signal::Entity, Signal::Types, Signal::Kg] {
-            let knocked = self.forward_knockout(kb, ex, signal);
+            let knocked = infer(&self.knockout(kb, signal));
             let changed = knocked.predictions[mention_idx] != prediction;
             let new_margin = margin_of(&knocked.scores[mention_idx], prediction);
             contributions.push((signal, margin - new_margin, changed));
@@ -62,13 +68,9 @@ impl BootlegModel {
         Explanation { prediction, margin, contributions }
     }
 
-    /// Forward pass with one signal family ablated *at inference time*.
-    fn forward_knockout(
-        &self,
-        kb: &KnowledgeBase,
-        ex: &Example,
-        signal: Signal,
-    ) -> crate::forward::ForwardOutput {
+    /// A copy of the model with one signal family ablated *at inference
+    /// time*.
+    fn knockout(&self, kb: &KnowledgeBase, signal: Signal) -> BootlegModel {
         // Build a shallow clone whose per-entity tables or parameters hide
         // the targeted signal; cheap relative to a training step.
         let mut m = self.clone_model();
@@ -105,7 +107,7 @@ impl BootlegModel {
                 }
             }
         }
-        m.infer(kb, ex)
+        m
     }
 }
 

@@ -27,7 +27,6 @@
 //! * **Compression (§4.4)** — keep the top-k% entity embeddings by training
 //!   popularity and map the rest to one shared vector.
 
-pub mod batch;
 pub mod compression;
 pub mod config;
 pub mod cooccur;

@@ -20,6 +20,7 @@
 
 use crate::example::Example;
 use crate::fault::{corrupt_file, FaultPlan};
+use crate::forward::ForwardOptions;
 use crate::model::BootlegModel;
 use bootleg_corpus::Sentence;
 use bootleg_kb::KnowledgeBase;
@@ -490,7 +491,11 @@ pub fn train_resumable(
                     .step_seed
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let out = model.forward(kb, &examples[i], true, st.step_seed);
+                let opts = ForwardOptions::training(st.step_seed);
+                let out = model
+                    .run(kb, std::slice::from_ref(&examples[i]), opts)
+                    .expect("training passes carry no deadline")
+                    .remove(0);
                 let Some(loss) = out.loss else { continue };
                 let lv = loss.value().item();
                 if !lv.is_finite() {

@@ -1,14 +1,15 @@
-//! Batched-vs-sequential bit-identity (PR 7 acceptance).
+//! Batched-vs-one-example bit-identity.
 //!
-//! The ragged micro-batch engine must reproduce the sequential forward pass
-//! *bitwise* — scores, predictions, mention representations, candidate
+//! A ragged micro-batch must reproduce each example's one-example forward
+//! pass *bitwise* — scores, predictions, mention representations, candidate
 //! representations and losses — for every batch size, every model variant,
-//! and arbitrarily ragged example mixes. Comparisons use `f32::to_bits` so
-//! `-0.0`/`0.0` and NaN discrepancies cannot hide behind `==`.
+//! and arbitrarily ragged example mixes. `forward_fingerprint.rs` pins the
+//! one-example pass itself. Comparisons use `f32::to_bits` so `-0.0`/`0.0`
+//! and NaN discrepancies cannot hide behind `==`.
 
 use bootleg_core::{
-    BootlegConfig, BootlegModel, Deadline, ExMention, Example, ForwardOptions, ModelVariant,
-    ValidationLimits,
+    BootlegConfig, BootlegModel, Deadline, ExMention, Example, ForwardOptions, ForwardOutput,
+    ModelVariant, ValidationLimits,
 };
 use bootleg_corpus::{generate_corpus, Corpus, CorpusConfig};
 use bootleg_kb::{generate as gen_kb, EntityId, KbConfig, KnowledgeBase};
@@ -35,13 +36,23 @@ fn bits3(v: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<u32>>> {
     v.iter().map(|r| bits2(r)).collect()
 }
 
+/// `ex` as a one-example slice.
+fn alone(
+    m: &BootlegModel,
+    kb: &KnowledgeBase,
+    ex: &Example,
+    opts: ForwardOptions,
+) -> ForwardOutput {
+    m.run(kb, std::slice::from_ref(ex), opts).expect("no deadline").remove(0)
+}
+
 /// Asserts the batched outputs of `examples` are bit-identical to running
-/// each example through the sequential engine alone.
+/// each example alone.
 fn assert_parity(kb: &KnowledgeBase, m: &BootlegModel, examples: &[Example], opts: ForwardOptions) {
     let batched = m.run(kb, examples, opts).expect("no deadline");
     assert_eq!(batched.len(), examples.len());
     for (ex, b) in examples.iter().zip(&batched) {
-        let s = m.forward_with(kb, ex, opts);
+        let s = alone(m, kb, ex, opts);
         assert_eq!(bits2(&s.scores), bits2(&b.scores), "scores diverge");
         assert_eq!(s.predictions, b.predictions, "predictions diverge");
         assert_eq!(bits2(&s.mention_reprs), bits2(&b.mention_reprs), "mention reprs diverge");
@@ -164,13 +175,13 @@ fn random_ragged_batches_match_sequential_bitwise() {
 fn empty_slice_and_training_dispatch() {
     let (kb, c, m) = setup();
     assert!(m.run(&kb, &[], ForwardOptions::inference()).expect("empty").is_empty());
-    // Training options route through the sequential engine (batched RNG
-    // cannot reproduce per-example dropout streams) and still work on a
-    // multi-example slice.
+    // A training slice runs as one-example passes (dropout and the entity
+    // mask draw from one RNG stream per graph), so a multi-example slice
+    // equals running each example alone.
     let pool: Vec<Example> = c.dev.iter().filter_map(Example::training).take(2).collect();
     let outs = m.run(&kb, &pool, ForwardOptions::training(3)).expect("no deadline");
     for (ex, out) in pool.iter().zip(&outs) {
-        let direct = m.forward(&kb, ex, true, 3);
+        let direct = alone(&m, &kb, ex, ForwardOptions::training(3));
         assert_eq!(bits2(&direct.scores), bits2(&out.scores), "training dispatch diverges");
     }
 }
@@ -193,7 +204,7 @@ fn per_example_deadline_evicts_only_that_example() {
             }
         } else {
             let out = r.as_ref().expect("live examples complete");
-            let direct = m.infer(&kb, &pool[i]);
+            let direct = alone(&m, &kb, &pool[i], ForwardOptions::inference());
             assert_eq!(bits2(&direct.scores), bits2(&out.scores), "survivor diverges");
         }
     }

@@ -40,7 +40,10 @@ struct Snapshot {
 }
 
 fn snapshot(m: &BootlegModel, kb: &KnowledgeBase, ex: &Example) -> Snapshot {
-    let out = m.forward_with(kb, ex, ForwardOptions::inference());
+    let out = m
+        .run(kb, std::slice::from_ref(ex), ForwardOptions::inference())
+        .expect("no deadline")
+        .remove(0);
     Snapshot {
         scores: bits2(&out.scores),
         predictions: out.predictions,
@@ -54,7 +57,7 @@ fn snapshots(m: &BootlegModel, kb: &KnowledgeBase, exs: &[Example]) -> Vec<Snaps
 }
 
 /// Runs `exs` uncached, then under `Full`, asserting every output is
-/// bit-identical — sequential and batched engines both.
+/// bit-identical — one-example and batched slices both.
 fn assert_cache_invisible(cfg: BootlegConfig) {
     let (kb, c, mut m) = setup(cfg);
     let exs = corpus_examples(&c, 6);

@@ -1,7 +1,7 @@
 //! Model save/load: a trained model written to disk and restored into a
 //! freshly-constructed one must produce bit-identical predictions.
 
-use bootleg_core::{train, BootlegConfig, BootlegModel, Example, TrainConfig};
+use bootleg_core::{train, BootlegConfig, BootlegModel, Example, ForwardOptions, TrainConfig};
 use bootleg_corpus::{generate_corpus, CorpusConfig};
 use bootleg_kb::{generate as gen_kb, KbConfig};
 
@@ -30,8 +30,9 @@ fn save_load_roundtrip_preserves_predictions() {
     let mut compared = 0;
     for s in c.dev.iter().take(30) {
         let Some(ex) = Example::evaluation(s) else { continue };
-        let a = trained.forward(&kb, &ex, false, 0);
-        let b = restored.forward(&kb, &ex, false, 0);
+        let one = std::slice::from_ref(&ex);
+        let a = trained.run(&kb, one, ForwardOptions::inference()).expect("no deadline").remove(0);
+        let b = restored.run(&kb, one, ForwardOptions::inference()).expect("no deadline").remove(0);
         assert_eq!(a.predictions, b.predictions);
         assert_eq!(a.scores, b.scores, "scores must be bit-identical");
         compared += 1;

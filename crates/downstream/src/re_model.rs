@@ -7,7 +7,7 @@
 //! Table-3 rows differ only in [`EntityFeatures`].
 
 use crate::dataset::{ReDataset, ReExample};
-use bootleg_core::{BootlegModel, ExMention, Example};
+use bootleg_core::{BootlegModel, ExMention, Example, ForwardOptions};
 use bootleg_corpus::Vocab;
 use bootleg_kb::KnowledgeBase;
 use bootleg_nn::encoder::WordEncoderConfig;
@@ -145,7 +145,10 @@ pub fn extract_features(
             let vectors = bexs
                 .chunks(8)
                 .flat_map(|chunk| {
-                    bootleg.infer_batch(kb, chunk).into_iter().zip(chunk).map(|(out, bex)| {
+                    let outs = bootleg
+                        .run(kb, chunk, ForwardOptions::inference())
+                        .expect("unlimited deadline cannot interrupt");
+                    outs.into_iter().zip(chunk).map(|(out, bex)| {
                         let subj_pred = bex.mentions[0].candidates[out.predictions[0]];
                         let obj_pred = bex.mentions[1].candidates[out.predictions[1]];
                         let mut v =

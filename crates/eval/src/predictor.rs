@@ -38,8 +38,8 @@ impl<F: Fn(&Example) -> Vec<usize> + Sync> Predictor for F {
 
 /// A Bootleg model paired with the knowledge base it disambiguates against.
 ///
-/// Runs the inference-only forward pass ([`BootlegModel::infer`]), which
-/// skips loss construction and candidate representations.
+/// Runs the inference-only forward pass ([`ForwardOptions::inference`]),
+/// which skips loss construction and candidate representations.
 ///
 /// **Validated invariant:** `predict` indexes embedding tables with the
 /// example's token and candidate ids, so the example must satisfy
@@ -75,11 +75,11 @@ impl<'a> BootlegPredictor<'a> {
 
 impl Predictor for BootlegPredictor<'_> {
     fn predict(&self, ex: &Example) -> Vec<usize> {
-        self.model.infer(self.kb, ex).predictions
+        self.predict_batch(std::slice::from_ref(ex)).remove(0)
     }
 
     /// One ragged micro-batch through [`BootlegModel::run`] — bit-identical
-    /// to the sequential default (verified by `batch_parity.rs`), but the
+    /// to the one-example default (verified by `batch_parity.rs`), but the
     /// embedding phase runs once for the whole slice instead of per example.
     fn predict_batch(&self, exs: &[Example]) -> Vec<Vec<usize>> {
         self.model

@@ -52,41 +52,12 @@ impl MhaBlock {
         }
     }
 
-    /// `x` is `(S, d)`; `kv` (if given) is `(N, d)`. Returns `(S, d)`.
+    /// `x` is `(S, d)`; `kv` (if given) is `(N, d)`. Returns `(S, d)`: the
+    /// one-span call of [`MhaBlock::forward_ragged`].
     pub fn forward(&self, g: &Graph, ps: &ParamStore, x: &Var, kv: Option<&Var>) -> Var {
         let s = x.shape()[0];
-        let kv_var = kv.unwrap_or(x);
-        let n = kv_var.shape()[0];
-        let d = self.n_heads * self.d_head;
-
-        // (S,d) -> (S,nh,dh) -> (nh,S,dh)
-        let q = self
-            .wq
-            .forward(g, ps, x)
-            .reshape(&[s, self.n_heads, self.d_head])
-            .swap_axes01();
-        let k = self
-            .wk
-            .forward(g, ps, kv_var)
-            .reshape(&[n, self.n_heads, self.d_head])
-            .swap_axes01();
-        let v = self
-            .wv
-            .forward(g, ps, kv_var)
-            .reshape(&[n, self.n_heads, self.d_head])
-            .swap_axes01();
-
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let scores = q.batch_matmul(&k.transpose_last2()).scale(scale); // (nh,S,N)
-        let attn = scores.softmax_last().dropout(self.dropout);
-        let ctx = attn.batch_matmul(&v); // (nh,S,dh)
-        let merged = ctx.swap_axes01().reshape(&[s, d]);
-        let out = self.wo.forward(g, ps, &merged).dropout(self.dropout);
-
-        // Residual + LN, then FFN residual + LN.
-        let h = self.ln1.forward(g, ps, &x.add(&out));
-        let f = self.ffn2.forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu()).dropout(self.dropout);
-        self.ln2.forward(g, ps, &h.add(&f))
+        let n = kv.map_or(s, |kv| kv.shape()[0]);
+        self.forward_ragged(g, ps, x, kv, &[(0, s)], &[(0, n)])
     }
 
     /// Ragged-batched forward over B examples stacked by rows. `x` is the
@@ -99,14 +70,16 @@ impl MhaBlock {
     /// so they run once on the tall concatenated matrices; only the
     /// attention core (scores / softmax / context) runs per example, on row
     /// slices, which keeps cross-example attention impossible. Every row of
-    /// the result is bit-identical to calling [`MhaBlock::forward`] on that
-    /// example alone: row-wise kernels accumulate per row regardless of how
-    /// rows are stacked, and the per-example core replays the exact same op
-    /// sequence on bitwise-equal inputs.
+    /// the result is bit-identical to running that example alone:
+    /// row-wise kernels accumulate per row regardless of how rows are
+    /// stacked, and the per-example core replays the exact same op sequence
+    /// on bitwise-equal inputs. A single span covers every row, so it takes
+    /// the projections as they are instead of identity row copies, and its
+    /// tape (and so its gradient summation order) is the plain one-example
+    /// op sequence.
     ///
-    /// Inference-only: the sequential path's `dropout` calls are `scale(1.0)`
-    /// at inference (an exact multiplicative identity), so this path omits
-    /// them; there is no RNG to keep in sync.
+    /// On a training tape, dropout is applied to the attention weights, the
+    /// output head and the FFN output, in that order.
     pub fn forward_ragged(
         &self,
         g: &Graph,
@@ -120,6 +93,7 @@ impl MhaBlock {
         assert!(!q_spans.is_empty(), "ragged attention needs at least one example");
         let d = self.n_heads * self.d_head;
         let kv_var = kv.unwrap_or(x);
+        let single = q_spans.len() == 1;
 
         // One tall projection each for Q/K/V over every example's rows.
         let _sp = bootleg_obs::span!("mha_proj");
@@ -129,34 +103,47 @@ impl MhaBlock {
         drop(_sp);
         let _sc = bootleg_obs::span!("mha_cores");
         let scale = 1.0 / (self.d_head as f32).sqrt();
+        let span_rows = |full: &Var, start: usize, len: usize| -> Var {
+            if single {
+                full.clone()
+            } else {
+                full.select_rows(&(start..start + len).map(|r| r as u32).collect::<Vec<_>>())
+            }
+        };
         let mut ctx_parts: Vec<Var> = Vec::with_capacity(q_spans.len());
         for (&(qs, ql), &(ks, kl)) in q_spans.iter().zip(kv_spans) {
-            let q_rows: Vec<u32> = (qs..qs + ql).map(|r| r as u32).collect();
-            let kv_rows: Vec<u32> = (ks..ks + kl).map(|r| r as u32).collect();
-            let q = q_full
-                .select_rows(&q_rows)
-                .reshape(&[ql, self.n_heads, self.d_head])
-                .swap_axes01();
-            let k = k_full
-                .select_rows(&kv_rows)
-                .reshape(&[kl, self.n_heads, self.d_head])
-                .swap_axes01();
-            let v = v_full
-                .select_rows(&kv_rows)
-                .reshape(&[kl, self.n_heads, self.d_head])
-                .swap_axes01();
-            let attn = q.batch_matmul(&k.transpose_last2()).scale(scale).softmax_last();
+            let q =
+                span_rows(&q_full, qs, ql).reshape(&[ql, self.n_heads, self.d_head]).swap_axes01();
+            let k =
+                span_rows(&k_full, ks, kl).reshape(&[kl, self.n_heads, self.d_head]).swap_axes01();
+            let v =
+                span_rows(&v_full, ks, kl).reshape(&[kl, self.n_heads, self.d_head]).swap_axes01();
+            let scores = q.batch_matmul(&k.transpose_last2()).scale(scale); // (nh,S,N)
+            let attn = self.train_dropout(g, scores.softmax_last());
             ctx_parts.push(attn.batch_matmul(&v).swap_axes01().reshape(&[ql, d]));
         }
         drop(_sc);
         let _sm = bootleg_obs::span!("mha_merge");
-        let refs: Vec<&Var> = ctx_parts.iter().collect();
-        let merged = g.concat_rows(&refs);
+        let merged = match ctx_parts.as_slice() {
+            [one] => one.clone(),
+            parts => g.concat_rows(&parts.iter().collect::<Vec<_>>()),
+        };
 
-        let out = self.wo.forward(g, ps, &merged);
+        // Residual + LN, then FFN residual + LN.
+        let out = self.train_dropout(g, self.wo.forward(g, ps, &merged));
         let h = self.ln1.forward(g, ps, &x.add(&out));
-        let f = self.ffn2.forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu());
+        let f = self.ffn1.forward(g, ps, &h).gelu();
+        let f = self.train_dropout(g, self.ffn2.forward(g, ps, &f));
         self.ln2.forward(g, ps, &h.add(&f))
+    }
+
+    /// Dropout on a training tape; elsewhere the op would only copy `x`.
+    fn train_dropout(&self, g: &Graph, x: Var) -> Var {
+        if g.training() {
+            x.dropout(self.dropout)
+        } else {
+            x
+        }
     }
 }
 

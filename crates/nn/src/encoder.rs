@@ -68,24 +68,16 @@ impl WordEncoder {
         Self { emb, layers, pos_table, config }
     }
 
-    /// Encodes `tokens` into `(N, d_model)` contextual embeddings.
+    /// Encodes `tokens` into `(N, d_model)` contextual embeddings: the
+    /// one-sentence call of [`WordEncoder::forward_batch`].
     pub fn forward(&self, g: &Graph, ps: &ParamStore, tokens: &[u32]) -> Var {
-        assert!(!tokens.is_empty(), "cannot encode an empty sentence");
-        let words = g.gather_rows(ps, self.emb, tokens);
-        let positions: Vec<usize> = (0..tokens.len()).collect();
-        let pos = g.leaf(posenc::encode_positions(&self.pos_table, &positions).scale_copy(0.5));
-        let mut h = words.add(&pos);
-        for layer in &self.layers {
-            h = layer.forward(g, ps, &h, None);
-        }
-        h
+        self.forward_batch(g, ps, &[tokens]).0
     }
 
     /// Encodes B sentences in one ragged batch. Returns the row-concatenated
     /// `(ΣN_i, d_model)` contextual matrix plus each sentence's `(start, len)`
-    /// row span into it. Inference-only (see [`MhaBlock::forward_ragged`]);
-    /// each sentence's rows are bit-identical to [`WordEncoder::forward`] on
-    /// that sentence alone.
+    /// row span into it; each sentence's rows are bit-identical to encoding
+    /// that sentence alone (see [`MhaBlock::forward_ragged`]).
     pub fn forward_batch(
         &self,
         g: &Graph,

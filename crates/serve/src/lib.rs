@@ -8,7 +8,7 @@
 //!   with a typed defect instead of panicking a worker; a bounded queue
 //!   sheds overload instead of building unbounded latency.
 //! - **Deadlines** — each request carries a [`Deadline`] checked at forward
-//!   phase boundaries ([`bootleg_core::BootlegModel::infer_within`]), so an
+//!   phase boundaries ([`bootleg_core::BootlegModel::try_forward_batch`]), so an
 //!   over-budget request stops mid-pass with partial diagnostics.
 //! - **Panic isolation** — every tier runs under `catch_unwind`; a poisoned
 //!   request takes out nothing but itself.

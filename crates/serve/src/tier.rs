@@ -78,7 +78,7 @@ pub trait Tier: Sync {
 
 /// The primary tier: the full Bootleg model.
 ///
-/// Runs [`BootlegModel::infer_within`] under `catch_unwind`, so a poisoned
+/// Runs [`BootlegModel::try_forward_batch`] under `catch_unwind`, so a poisoned
 /// example becomes [`TierFailure::Panicked`] and an expired deadline becomes
 /// [`TierFailure::DeadlineExceeded`] with the last completed phase. An
 /// optional [`FaultPlan`] injects `SlowInfer` stalls and `PanicOnExample`
@@ -136,7 +136,9 @@ impl ModelTier<'_> {
             if self.faults.panic_on_example(cx.seq) {
                 panic!("injected panic on request {}", cx.seq);
             }
-            self.model.infer_within(self.kb, ex, cx.deadline)
+            let opts = bootleg_core::ForwardOptions::inference();
+            let mut results = self.model.try_forward_batch(self.kb, &[ex], &opts, &[cx.deadline]);
+            results.pop().expect("one result per example")
         }));
         match result {
             Ok(Ok(out)) => Ok(out.predictions),

@@ -9,7 +9,7 @@
 
 use bootleg::core::{train, BootlegConfig, BootlegModel, Example, TrainConfig};
 use bootleg::corpus::{generate_corpus, CorpusConfig};
-use bootleg::eval::evaluate_slices;
+use bootleg::eval::{evaluate_slices, BootlegPredictor, Predictor};
 use bootleg::kb::{generate, KbConfig};
 use bootleg::tensor::arena;
 
@@ -37,15 +37,14 @@ fn train_and_eval(arena_on: bool) -> RunResult {
         .iter()
         .flat_map(|(_, p)| p.data.data().iter().map(|v| v.to_bits()))
         .collect();
+    let predictor = BootlegPredictor { model: &model, kb: &kb };
     let predictions: Vec<Vec<usize>> = corpus
         .dev
         .iter()
         .filter_map(Example::training)
-        .map(|ex| model.infer(&kb, &ex).predictions)
+        .map(|ex| predictor.predict(&ex))
         .collect();
-    let report = evaluate_slices(&corpus.dev, &counts, |ex: &Example| {
-        model.infer(&kb, ex).predictions
-    });
+    let report = evaluate_slices(&corpus.dev, &counts, predictor);
     arena::set_enabled(true);
     RunResult { param_bits, predictions, report }
 }

@@ -7,7 +7,7 @@ use bootleg::core::{
     compress_entity_embeddings, train, BootlegConfig, BootlegModel, Example, TrainConfig,
 };
 use bootleg::corpus::{generate_corpus, weaklabel, CorpusConfig};
-use bootleg::eval::evaluate_slices;
+use bootleg::eval::{evaluate_slices, BootlegPredictor, Predictor};
 use bootleg::kb::{generate, KbConfig};
 
 struct Pipeline {
@@ -39,9 +39,8 @@ fn pipeline() -> Pipeline {
 #[test]
 fn trained_bootleg_beats_popularity_prior() {
     let p = pipeline();
-    let boot = evaluate_slices(&p.corpus.dev, &p.counts, |ex: &Example| {
-        p.model.infer(&p.kb, ex).predictions
-    });
+    let boot =
+        evaluate_slices(&p.corpus.dev, &p.counts, BootlegPredictor { model: &p.model, kb: &p.kb });
     let prior = evaluate_slices(&p.corpus.dev, &p.counts, |ex: &Example| {
         PopularityPrior.predict_indices(ex)
     });
@@ -72,8 +71,8 @@ fn compression_preserves_head_predictions() {
     let mut total = 0;
     for s in &p.corpus.dev {
         let Some(ex) = Example::evaluation(s) else { continue };
-        let a = p.model.forward(&p.kb, &ex, false, 0).predictions;
-        let b = compressed.forward(&p.kb, &ex, false, 0).predictions;
+        let a = BootlegPredictor { model: &p.model, kb: &p.kb }.predict(&ex);
+        let b = BootlegPredictor { model: &compressed, kb: &p.kb }.predict(&ex);
         for ((m, &x), &y) in ex.mentions.iter().zip(&a).zip(&b) {
             let gi = m.gold.expect("gold") as usize;
             let count = *p.counts.get(&m.candidates[gi]).unwrap_or(&0);

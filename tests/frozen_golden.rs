@@ -15,7 +15,7 @@
 //!    corpus exactly (every score `f32::to_bits`-equal) like the live-built
 //!    model it snapshots.
 
-use bootleg::core::{frozen, Example};
+use bootleg::core::{frozen, Example, ForwardOptions};
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden.btfz")
@@ -60,9 +60,11 @@ fn thawed_model_serves_bit_identically() {
         .collect();
     assert_eq!(examples.len(), 64, "golden corpus must supply 64 evaluable sentences");
 
+    let opts = ForwardOptions::inference();
     for (i, ex) in examples.iter().enumerate() {
-        let a = live.infer(&kb, ex);
-        let b = bundle.model.infer(&bundle.kb, ex);
+        let one = std::slice::from_ref(ex);
+        let a = live.run(&kb, one, opts).expect("no deadline").remove(0);
+        let b = bundle.model.run(&bundle.kb, one, opts).expect("no deadline").remove(0);
         assert_eq!(a.predictions, b.predictions, "sentence {i}: predictions diverge");
         assert_eq!(a.scores.len(), b.scores.len(), "sentence {i}: mention count diverges");
         for (m, (sa, sb)) in a.scores.iter().zip(&b.scores).enumerate() {
