@@ -17,6 +17,15 @@
 //! | `EPLANMET` | entity-payload plane shape (present only when exported)   |
 //! | `EPLANF32` | entity-payload plane rows, raw f32                        |
 //!
+//! # Memory
+//!
+//! [`thaw_from_path`] never holds the file: the container reader validates
+//! it in one streamed pass, small sections come back as owned bytes, the
+//! parameter values are read straight into the model's tensors
+//! ([`bootleg_tensor::frozen::fill_params`]) and the plane straight into the
+//! vector the entity cache takes. Peak memory is the bundle plus one read
+//! chunk and the small sections.
+//!
 //! # Bit-identity
 //!
 //! [`thaw_from_bytes`] rebuilds the model through [`BootlegModel::new`]
@@ -30,10 +39,9 @@
 //!
 //! The parameter sections are the shared codec of
 //! [`bootleg_tensor::frozen::add_params`] — the same bytes training
-//! checkpoints and `BootlegModel::save` write. The f32 blobs load with a
-//! single bulk copy per tensor or plane ([`bootleg_tensor::frozen::copy_f32`],
-//! [`bootleg_tensor::frozen::bulk_f32`]); there is no per-element parse loop
-//! anywhere on this path.
+//! checkpoints and `BootlegModel::save` write. The f32 blobs are little-endian
+//! on disk and read in place ([`FrozenReader::read_f32s`]); there is no
+//! per-element parse loop anywhere on this path.
 
 use crate::config::{BootlegConfig, ModelVariant};
 use crate::model::BootlegModel;
@@ -42,7 +50,7 @@ use bootleg_corpus::Vocab;
 use bootleg_kb::{EntityId, KnowledgeBase};
 use bootleg_nn::encoder::WordEncoderConfig;
 use bootleg_tensor::frozen::{
-    add_params, f32_bytes, restore_params, Builder, Cursor, FrozenReader, FrozenWriter,
+    add_params, f32_bytes, fill_params, Builder, Cursor, FrozenReader, FrozenWriter,
 };
 pub use bootleg_tensor::frozen::{FrozenError, SECTION_PARAM_F32, SECTION_PARAM_MANIFEST};
 use std::collections::HashMap;
@@ -257,15 +265,15 @@ fn decode_config(payload: &[u8]) -> Result<BootlegConfig, FrozenError> {
 // Freeze.
 // ---------------------------------------------------------------------------
 
-/// Serialises a trained model + KB + vocab into artifact bytes.
+/// The artifact's sections for a trained model + KB + vocab.
 ///
 /// Fails with [`FrozenError::Unsupported`] when the model carries state the
 /// format does not snapshot (the benchmark co-occurrence index).
-pub fn freeze(
+fn artifact_writer(
     model: &BootlegModel,
     kb: &KnowledgeBase,
     vocab: &Vocab,
-) -> Result<Vec<u8>, FrozenError> {
+) -> Result<FrozenWriter, FrozenError> {
     if model.cooccur.is_some() {
         return Err(FrozenError::Unsupported {
             what: "models with a sentence co-occurrence index (benchmark config) cannot be \
@@ -304,19 +312,29 @@ pub fn freeze(
         w.add(SECTION_PLANE_META, meta.into_bytes());
         w.add(SECTION_PLANE_F32, f32_bytes(&rows));
     }
-    Ok(w.to_bytes())
+    Ok(w)
 }
 
-/// Freezes to a file (atomic write).
+/// Serialises a trained model + KB + vocab into artifact bytes.
+///
+/// Fails with [`FrozenError::Unsupported`] when the model carries state the
+/// format does not snapshot (the benchmark co-occurrence index).
+pub fn freeze(
+    model: &BootlegModel,
+    kb: &KnowledgeBase,
+    vocab: &Vocab,
+) -> Result<Vec<u8>, FrozenError> {
+    Ok(artifact_writer(model, kb, vocab)?.to_bytes())
+}
+
+/// Freezes to a file, streamed into an atomic write.
 pub fn freeze_to_path(
     model: &BootlegModel,
     kb: &KnowledgeBase,
     vocab: &Vocab,
     path: &Path,
 ) -> Result<(), FrozenError> {
-    let bytes = freeze(model, kb, vocab)?;
-    bootleg_tensor::checkpoint::atomic_write(path, &bytes)?;
-    Ok(())
+    artifact_writer(model, kb, vocab)?.save(path)
 }
 
 // ---------------------------------------------------------------------------
@@ -327,14 +345,11 @@ pub fn freeze_to_path(
 /// `frozen.{load_ns,bytes,sections}` observability counters.
 pub fn thaw_from_path(path: &Path) -> Result<FrozenBundle, FrozenError> {
     let start = std::time::Instant::now();
-    let bytes = std::fs::read(path)?;
-    let n_bytes = bytes.len();
-    let reader = FrozenReader::from_bytes(bytes)?;
-    let n_sections = reader.sections().len();
+    let reader = FrozenReader::load(path)?;
     let bundle = thaw(&reader)?;
     bootleg_obs::counter!("frozen.load_ns").add(start.elapsed().as_nanos() as u64);
-    bootleg_obs::counter!("frozen.bytes").add(n_bytes as u64);
-    bootleg_obs::counter!("frozen.sections").add(n_sections as u64);
+    bootleg_obs::counter!("frozen.bytes").add(reader.len_bytes() as u64);
+    bootleg_obs::counter!("frozen.sections").add(reader.sections().len() as u64);
     Ok(bundle)
 }
 
@@ -343,16 +358,19 @@ pub fn thaw_from_bytes(bytes: Vec<u8>) -> Result<FrozenBundle, FrozenError> {
     thaw(&FrozenReader::from_bytes(bytes)?)
 }
 
-fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
-    let config = decode_config(reader.require(SECTION_CONFIG)?)?;
-    let kb = bootleg_kb::frozen::decode(reader.require(bootleg_kb::frozen::SECTION_KB)?)?;
+/// Thaws an artifact from an opened reader. Each section read re-checks
+/// its CRC, so a file changed since the reader opened it is a typed error.
+pub fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
+    let config = decode_config(&reader.require(SECTION_CONFIG)?)?;
+    let kb = bootleg_kb::frozen::decode(&reader.require(bootleg_kb::frozen::SECTION_KB)?)?;
 
     let vocab_payload = reader.require(SECTION_VOCAB)?;
-    let mut c = Cursor::new(SECTION_VOCAB, vocab_payload);
+    let mut c = Cursor::new(SECTION_VOCAB, &vocab_payload);
     let n_words = c.count(MAX_VOCAB)?;
     let words: Vec<String> =
         (0..n_words).map(|_| c.string(1 << 10)).collect::<Result<_, _>>()?;
     c.finish()?;
+    drop(vocab_payload);
     let vocab = Vocab::from_words(words)
         .ok_or_else(|| schema(SECTION_VOCAB, "duplicate word (token ids must be unique)"))?;
     if config.word_encoder.vocab != vocab.len() {
@@ -366,7 +384,8 @@ fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
         ));
     }
 
-    let mut c = Cursor::new(SECTION_COUNTS, reader.require(SECTION_COUNTS)?);
+    let counts_payload = reader.require(SECTION_COUNTS)?;
+    let mut c = Cursor::new(SECTION_COUNTS, &counts_payload);
     let counts_vec = c.u32s(MAX_VOCAB)?;
     c.finish()?;
     if counts_vec.len() != kb.num_entities() {
@@ -382,38 +401,40 @@ fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
         .map(|(i, &n)| (EntityId(i as u32), n))
         .collect();
 
-    // Rebuild the model architecture from the decoded inputs, then restore
-    // the trained parameter bytes. The skip-init guard makes construction
-    // allocate zeroed weight tensors instead of sampling ~10⁶ random draws
-    // that `restore_params` would overwrite anyway — `restore_params`
-    // enforces that every parameter is covered, so no zero row can survive.
+    // Rebuild the model architecture from the decoded inputs, then read the
+    // trained parameter values straight into its tensors. The skip-init
+    // guard makes construction allocate zeroed weight tensors instead of
+    // sampling ~10⁶ random draws that would be overwritten anyway —
+    // `fill_params` enforces that every parameter is covered, so no zero row
+    // can survive. A failed fill drops the half-written model with the error.
     let mut model = {
         let _skip = bootleg_tensor::init::skip_init();
         BootlegModel::new(&kb, &vocab, &counts, config)
     };
-    restore_params(reader, &mut model.params)?;
+    fill_params(reader, &mut model.params)?;
 
     // The payload plane was built from the weights just restored, so it is
     // current *by construction*; install it under the post-restore version
     // stamp. Non-`Full` cache policies ignore it (install returns false).
-    if let (Some(meta), Ok(rows)) =
-        (reader.section(SECTION_PLANE_META), reader.f32_section(SECTION_PLANE_F32))
+    if let (Some(_), Some(plane)) =
+        (reader.section(SECTION_PLANE_META), reader.section(SECTION_PLANE_F32))
     {
-        let mut c = Cursor::new(SECTION_PLANE_META, meta);
+        let meta = reader.require(SECTION_PLANE_META)?;
+        let mut c = Cursor::new(SECTION_PLANE_META, &meta);
         let width = c.count(MAX_DIM)?;
-        let n_rows = c.u64()? as usize;
+        let n_rows = c.u64()?;
         c.finish()?;
-        if width == 0 || n_rows != model.n_entities || rows.len() != n_rows * width {
+        let want = model.n_entities.checked_mul(width * 4);
+        if width == 0 || n_rows != model.n_entities as u64 || want != Some(plane.len) {
             return Err(schema(
                 SECTION_PLANE_META,
                 format!(
-                    "plane {n_rows}x{width} does not match {} entities / {} floats",
-                    model.n_entities,
-                    rows.len()
+                    "plane {n_rows}x{width} does not match {} entities / {} bytes",
+                    model.n_entities, plane.len
                 ),
             ));
         }
-        model.install_entity_plane(width, rows);
+        model.install_entity_plane(width, reader.f32_section(SECTION_PLANE_F32)?);
     }
 
     Ok(FrozenBundle { model, kb, vocab, counts })

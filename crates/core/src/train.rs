@@ -315,7 +315,8 @@ impl LoopState {
     }
 
     fn decode(reader: &FrozenReader) -> Result<Self, FrozenError> {
-        let mut c = Cursor::new(SEC_STATE, reader.require(SEC_STATE)?);
+        let state = reader.require(SEC_STATE)?;
+        let mut c = Cursor::new(SEC_STATE, &state);
         let v = c.u64s(11)?;
         c.finish()?;
         let [epoch, next_batch, step_seed, attempt, steps, epoch_count, loss_bits, strikes, warmup_seen, ema_bits, n_examples] =
@@ -323,7 +324,8 @@ impl LoopState {
         else {
             return Err(FrozenError::schema(SEC_STATE, "wrong field count"));
         };
-        let mut c = Cursor::new(SEC_EPOCH_LOSSES, reader.require(SEC_EPOCH_LOSSES)?);
+        let losses = reader.require(SEC_EPOCH_LOSSES)?;
+        let mut c = Cursor::new(SEC_EPOCH_LOSSES, &losses);
         let epoch_losses = c
             .u64s(MAX_EPOCHS)?
             .into_iter()

@@ -7,7 +7,7 @@
 //! proportional to batch size rather than vocabulary size.
 
 use bootleg_tensor::frozen::{
-    copy_f32, push_f32_bytes, Builder, Cursor, FrozenError, FrozenReader, FrozenWriter,
+    push_f32_bytes, Builder, Cursor, FrozenError, FrozenReader, FrozenWriter,
 };
 use bootleg_tensor::{ParamStore, Tensor};
 
@@ -68,12 +68,16 @@ impl Adam {
         }
     }
 
-    /// Restores state written by [`Adam::add_state`]. Fails with a typed
-    /// error, leaving the optimizer untouched, if a section is missing or
-    /// malformed or the moment blobs do not match this optimizer's
-    /// parameter set (i.e. the checkpoint came from a different model).
+    /// Restores state written by [`Adam::add_state`], all or nothing: the
+    /// moments land in fresh tensors that replace this optimizer's only
+    /// once both blobs have been read and their CRCs matched. Fails with a
+    /// typed error, leaving the optimizer untouched, if a section is
+    /// missing, malformed or changed since the reader opened it, or the
+    /// moment blobs do not match this optimizer's parameter set (i.e. the
+    /// checkpoint came from a different model).
     pub fn restore_state(&mut self, reader: &FrozenReader) -> Result<(), FrozenError> {
-        let mut c = Cursor::new(SECTION_ADAM_STEP, reader.require(SECTION_ADAM_STEP)?);
+        let counters = reader.require(SECTION_ADAM_STEP)?;
+        let mut c = Cursor::new(SECTION_ADAM_STEP, &counters);
         let counters = c.u64s(2)?;
         c.finish()?;
         let [t, lr_bits] = counters[..] else {
@@ -83,27 +87,18 @@ impl Adam {
         let lr_bits = u32::try_from(lr_bits).map_err(|_| {
             FrozenError::schema(SECTION_ADAM_STEP, format!("lr bits {lr_bits:#x} exceed 32"))
         })?;
-        let want = self.m.iter().map(|t| t.numel() * 4).sum::<usize>();
-        let m = reader.require(SECTION_ADAM_M)?;
-        let v = reader.require(SECTION_ADAM_V)?;
-        for (id, blob) in [(SECTION_ADAM_M, m), (SECTION_ADAM_V, v)] {
-            if blob.len() != want {
-                return Err(FrozenError::schema(
-                    id,
-                    format!("{} moment bytes, the parameter set needs {want}", blob.len()),
-                ));
-            }
-        }
+        let read = |id: &str, like: &[Tensor]| -> Result<Vec<Tensor>, FrozenError> {
+            let mut moments: Vec<Tensor> = like.iter().map(|t| Tensor::zeros(t.shape())).collect();
+            let mut dests: Vec<&mut [f32]> = moments.iter_mut().map(Tensor::data_mut).collect();
+            reader.read_f32s(id, &mut dests)?;
+            Ok(moments)
+        };
+        let m = read(SECTION_ADAM_M, &self.m)?;
+        let v = read(SECTION_ADAM_V, &self.v)?;
         self.t = t;
         self.lr = f32::from_bits(lr_bits);
-        for (blob, moments) in [(m, &mut self.m), (v, &mut self.v)] {
-            let mut at = 0;
-            for t in moments.iter_mut() {
-                let n = t.numel() * 4;
-                copy_f32(&blob[at..at + n], t.data_mut());
-                at += n;
-            }
-        }
+        self.m = m;
+        self.v = v;
         Ok(())
     }
 

@@ -16,19 +16,24 @@
 //!
 //! The listener is deliberately primitive: one accept loop on one thread,
 //! one thread per connection, `Connection: close`. It serves an operator's
-//! curl and a scraper's GET, not traffic. The same three payloads can be
-//! dumped to disk for offline runs with [`dump_telemetry`].
+//! curl and a scraper's GET, not traffic, and bounds what a client can
+//! hold: at most 16 connections at once (more get a `503`), at most 8 KiB
+//! of request line and headers (more get a `431`), and 2 s to deliver the
+//! whole request, however slowly the bytes trickle in (later, the
+//! connection is dropped). The same three
+//! payloads can be dumped to disk for offline runs with [`dump_telemetry`].
 
 use crate::export::atomic_write;
 use crate::metrics::HistogramSnapshot;
 use crate::{metrics, reqtrace, window};
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Write as IoWrite};
+use std::io::{self, BufRead, BufReader, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- exposition
 
@@ -239,20 +244,86 @@ fn respond(path: &str) -> (u16, &'static str, String) {
     }
 }
 
-fn handle_conn(stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream);
+/// Most connections served at once; the listener refuses more with `503`.
+const MAX_CONNS: usize = 16;
+/// Most bytes of request line plus headers read from one connection; a
+/// longer request head gets `431`.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+/// Time a connection has to deliver its whole request head.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A socket reader that fails once `deadline` has passed, however slowly
+/// the bytes trickle in: each read may block only for the time left.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "request deadline passed"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Reads a request head within [`REQUEST_DEADLINE`] and [`MAX_HEAD_BYTES`]
+/// and returns its request line, or `None` when the head outgrew the cap.
+/// The headers are drained so well-behaved clients see a clean close.
+fn read_request_line(stream: &TcpStream) -> io::Result<Option<String>> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut head = BufReader::new(Deadlined { stream, deadline }.take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so well-behaved clients see a clean close.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 {
-        if header == "\r\n" || header == "\n" {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        // A line with no newline means the client closed or the cap hit.
+        if head.read_line(&mut line)? == 0 || !line.ends_with('\n') {
             break;
         }
-        header.clear();
+        if request_line.is_empty() {
+            request_line = std::mem::take(&mut line);
+        } else if line == "\r\n" || line == "\n" {
+            return Ok(Some(request_line));
+        }
     }
+    Ok((head.get_ref().limit() > 0).then_some(request_line))
+}
+
+fn write_response(
+    mut stream: &TcpStream,
+    status: u16,
+    content_type: &str,
+    body: &str,
+    head_only: bool,
+) -> io::Result<()> {
+    let reason = match status {
+        200 => "OK",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
+        _ => "Service Unavailable",
+    };
+    let head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes())?;
+    if !head_only {
+        stream.write_all(body.as_bytes())?;
+    }
+    stream.flush()
+}
+
+fn handle_conn(stream: TcpStream) -> io::Result<()> {
+    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+    let Some(request_line) = read_request_line(&stream)? else {
+        return write_response(&stream, 431, "text/plain", "request head too large\n", false);
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("/");
@@ -262,21 +333,14 @@ fn handle_conn(stream: TcpStream) -> io::Result<()> {
     } else {
         (405, "text/plain", "method not allowed\n".to_string())
     };
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        _ => "Method Not Allowed",
-    };
-    let mut stream = reader.into_inner();
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    if method != "HEAD" {
-        stream.write_all(body.as_bytes())?;
-    }
-    stream.flush()
+    write_response(&stream, status, content_type, &body, method == "HEAD")
+}
+
+/// Turns away a connection over [`MAX_CONNS`] without blocking the accept
+/// loop: a `503` if the socket takes it at once, else just the close.
+fn refuse(stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let _ = write_response(&stream, 503, "text/plain", "too many connections\n", false);
 }
 
 /// A running exposition listener; dropping (or [`ObsServer::stop`]) shuts
@@ -324,20 +388,26 @@ pub fn serve(addr: &str) -> io::Result<ObsServer> {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let handle = std::thread::Builder::new().name("obs-http".into()).spawn(move || {
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         for conn in listener.incoming() {
             if stop_flag.load(Ordering::SeqCst) {
                 break;
             }
-            match conn {
-                Ok(stream) => {
-                    let _ = std::thread::Builder::new()
-                        .name("obs-http-conn".into())
-                        .spawn(move || {
-                            let _ = handle_conn(stream);
-                        });
-                }
-                Err(_) => break,
+            let Ok(stream) = conn else { break };
+            conns.retain(|c| !c.is_finished());
+            if conns.len() >= MAX_CONNS {
+                refuse(stream);
+                continue;
             }
+            let spawned = std::thread::Builder::new().name("obs-http-conn".into()).spawn(move || {
+                let _ = handle_conn(stream);
+            });
+            // A failed spawn drops the stream, closing the connection.
+            conns.extend(spawned.ok());
+        }
+        // Every connection ends within its deadline and write timeouts.
+        for c in conns {
+            let _ = c.join();
         }
     })?;
     crate::info!("obs.http.listening", addr = local);
@@ -427,6 +497,88 @@ mod tests {
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         server.stop();
+    }
+
+    /// Reads whatever the server sends until it closes.
+    fn read_reply(stream: &mut TcpStream) -> String {
+        use std::io::Read as _;
+        stream.set_read_timeout(Some(REQUEST_DEADLINE * 3)).expect("timeout");
+        let mut buf = Vec::new();
+        let _ = stream.read_to_end(&mut buf);
+        String::from_utf8_lossy(&buf).into_owned()
+    }
+
+    #[test]
+    fn oversized_request_head_is_refused() {
+        let Ok(server) = serve("127.0.0.1:0") else { return };
+        // Exactly the cap with no newline: the server reads it all, finds no
+        // end of line, and answers 431 without waiting for more.
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let line = format!("GET /{}", "a".repeat(MAX_HEAD_BYTES as usize - 5));
+        stream.write_all(line.as_bytes()).expect("write request");
+        let reply = read_reply(&mut stream);
+        assert!(reply.starts_with("HTTP/1.1 431"), "{reply}");
+        // The listener still serves well-formed requests afterwards.
+        let (head, _) = get(server.addr(), "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        server.stop();
+    }
+
+    #[test]
+    fn slow_drip_client_is_cut_off_at_the_deadline() {
+        let Ok(server) = serve("127.0.0.1:0") else { return };
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let start = Instant::now();
+        stream.write_all(b"GET /metrics HTTP/1.1\r\nX-Slow: ").expect("write");
+        // One header byte every 50 ms keeps every single read short of a
+        // timeout; only the whole-request deadline ends the connection,
+        // after which writes fail once the server has reset it.
+        while stream.write_all(b"a").is_ok() {
+            assert!(
+                start.elapsed() < REQUEST_DEADLINE * 3,
+                "server kept a slow client past its request deadline"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert!(start.elapsed() >= REQUEST_DEADLINE, "cut off before the deadline");
+        server.stop();
+    }
+
+    #[test]
+    fn connections_over_the_bound_are_refused() {
+        let Ok(server) = serve("127.0.0.1:0") else { return };
+        // MAX_CONNS idle clients each hold a connection thread until their
+        // deadline; the listener accepts in order, so the next one is over
+        // the bound.
+        let idle: Vec<TcpStream> = (0..MAX_CONNS)
+            .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+            .collect();
+        let mut extra = TcpStream::connect(server.addr()).expect("connect");
+        let reply = read_reply(&mut extra);
+        assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+        drop(idle);
+        server.stop();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn random_request_bytes_get_a_response_or_a_close(
+            bytes in proptest::collection::vec(0u8..=255, 0..(MAX_HEAD_BYTES as usize)),
+            newlines in 0usize..4,
+        ) {
+            let Ok(server) = serve("127.0.0.1:0") else { return };
+            let mut request = bytes;
+            request.extend(std::iter::repeat_n(b'\n', newlines));
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(&request).expect("write request");
+            stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+            // Invalid UTF-8 drops the connection; anything else is answered.
+            let reply = read_reply(&mut stream);
+            proptest::prop_assert!(reply.is_empty() || reply.starts_with("HTTP/1.1 "), "{reply}");
+            server.stop();
+        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! model parameters through the shared parameter codec, Adam moments and
 //! counters, loop state. This module owns what is not format:
 //!
-//! * [`crc32c`], the one checksum of every container;
-//! * [`atomic_write`]: temp file in the destination directory, fsync,
-//!   `rename` into place, so a crash mid-write can never leave a
-//!   half-written file under the final name (POSIX rename is atomic within
-//!   a filesystem);
+//! * [`crc32c`], the one checksum of every container, with its streaming
+//!   form [`Crc32c`] and [`crc32c_combine`];
+//! * [`atomic_write`] / [`atomic_write_with`]: temp file in the destination
+//!   directory, fsync, `rename` into place, so a crash mid-write can never
+//!   leave a half-written file under the final name (POSIX rename is atomic
+//!   within a filesystem);
 //! * [`CheckpointManager`]: keeps the last K `ckpt-<step>.btfz` files of a
 //!   run and, on load, falls back across corrupt or truncated files to the
 //!   newest one that still validates.
@@ -54,9 +55,10 @@ const fn crc32c_tables() -> [[u32; 256]; 8] {
 
 static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
 
-fn crc32c_sw(bytes: &[u8]) -> u32 {
+/// Advances the raw CRC-32C register `c` (the pre-inverted state that
+/// [`Crc32c`] holds) over `bytes` with the slice-by-8 table walk.
+fn crc32c_sw(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32C_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -73,15 +75,19 @@ fn crc32c_sw(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
-/// SAFETY: caller must ensure SSE4.2 is available.
+/// [`crc32c_sw`] on the SSE4.2 `crc32` instruction.
+///
+/// # Safety
+///
+/// The caller must ensure SSE4.2 is available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
+unsafe fn crc32c_hw(c: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut c = u32::MAX as u64;
+    let mut c = c as u64;
     let mut chunks = bytes.chunks_exact(8);
     for ch in &mut chunks {
         c = _mm_crc32_u64(c, u64::from_le_bytes(ch.try_into().expect("8-byte chunk")));
@@ -90,7 +96,43 @@ unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = _mm_crc32_u8(c, b);
     }
-    !c
+    c
+}
+
+/// An incremental CRC-32C: feeding a byte string through
+/// [`Crc32c::update`] in any number of pieces gives the [`Crc32c::finish`]
+/// that one [`crc32c`] call over the whole string gives. Streamed readers
+/// and writers use it to checksum a file they never hold whole.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32c(u32);
+
+impl Default for Crc32c {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32c {
+    /// The state of the empty string.
+    pub const fn new() -> Self {
+        Self(u32::MAX)
+    }
+
+    /// Appends `bytes` to the checksummed string.
+    pub fn update(&mut self, bytes: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: feature detected at runtime.
+            self.0 = unsafe { crc32c_hw(self.0, bytes) };
+            return;
+        }
+        self.0 = crc32c_sw(self.0, bytes);
+    }
+
+    /// The CRC-32C of everything appended so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
 }
 
 /// CRC-32C (Castagnoli) of `bytes` — the checksum of every `frozen`
@@ -99,12 +141,47 @@ unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
 /// magnitude faster than the table walk). The software slice-by-8 fallback
 /// computes the identical function, so files are portable across machines.
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: feature detected at runtime.
-        return unsafe { crc32c_hw(bytes) };
+    let mut c = Crc32c::new();
+    c.update(bytes);
+    c.finish()
+}
+
+/// `a · b mod P` over GF(2), for the reflected Castagnoli polynomial `P`;
+/// both operands in the bit order of the CRC register (bit 31 is x⁰).
+fn gf2_mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { 0x82F63B78 ^ (b >> 1) } else { b >> 1 };
+        bit >>= 1;
     }
-    crc32c_sw(bytes)
+    product
+}
+
+/// `x^(8n) mod P`: the operator that runs a CRC register over `n` zero
+/// bytes, by square-and-multiply.
+fn zero_bytes_operator(mut n: u64) -> u32 {
+    let mut op = 1u32 << 31; // x⁰
+    let mut square = 1u32 << 23; // x⁸: one byte
+    while n != 0 {
+        if n & 1 != 0 {
+            op = gf2_mul_mod(square, op);
+        }
+        square = gf2_mul_mod(square, square);
+        n >>= 1;
+    }
+    op
+}
+
+/// The CRC-32C of `a ‖ b` from `crc32c(a)`, `crc32c(b)` and `b.len()`, in
+/// O(log len_b) without touching the bytes. Readers and writers that
+/// checksum each section of a file get the whole-file CRC from the pieces
+/// instead of a second pass over the bytes.
+pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    gf2_mul_mod(zero_bytes_operator(len_b), crc_a) ^ crc_b
 }
 
 // ---------------------------------------------------------------------------
@@ -124,10 +201,19 @@ pub fn with_path(err: io::Error, path: &Path) -> io::Error {
 // Atomic file writes.
 // ---------------------------------------------------------------------------
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// flush + fsync, then rename over the destination. On unix the directory
-/// is fsynced too so the rename itself is durable.
+/// Writes `bytes` to `path` atomically; see [`atomic_write_with`].
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |w| w.write_all(bytes))
+}
+
+/// Streams `write`'s output to `path` atomically: temp file in the same
+/// directory, flush + fsync, then rename over the destination. On unix the
+/// directory is fsynced too so the rename itself is durable. The output is
+/// never held whole in memory.
+pub fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let file_name = path
         .file_name()
@@ -135,8 +221,9 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
     let ctx = |e: io::Error| with_path(e, &tmp);
 
-    let mut f = fs::File::create(&tmp).map_err(ctx)?;
-    f.write_all(bytes).map_err(ctx)?;
+    let mut out = io::BufWriter::new(fs::File::create(&tmp).map_err(ctx)?);
+    write(&mut out).map_err(ctx)?;
+    let f = out.into_inner().map_err(|e| ctx(e.into_error()))?;
     f.sync_all().map_err(ctx)?;
     drop(f);
     fs::rename(&tmp, path).map_err(|e| with_path(e, path))?;
@@ -165,7 +252,8 @@ pub struct RejectedCheckpoint {
 pub struct LoadedCheckpoint {
     /// Step stamp from the file name.
     pub step: u64,
-    /// The newest checkpoint that validated, ready for section access.
+    /// The newest checkpoint that validated, ready for section access. It
+    /// keeps the file open; each section read re-checks its CRC.
     pub reader: FrozenReader,
     /// File it was loaded from.
     pub path: PathBuf,
@@ -203,7 +291,7 @@ impl CheckpointManager {
     /// files beyond the retention window. Returns the final path.
     pub fn save(&self, step: u64, checkpoint: &FrozenWriter) -> io::Result<PathBuf> {
         let path = self.file_for_step(step);
-        atomic_write(&path, &checkpoint.to_bytes())?;
+        atomic_write_with(&path, |w| checkpoint.write_to(w))?;
         self.prune()?;
         Ok(path)
     }
@@ -310,9 +398,11 @@ mod tests {
                 let slice = &data[start..start + len];
                 #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("sse4.2") {
-                    assert_eq!(unsafe { crc32c_hw(slice) }, crc32c_sw(slice), "start {start} len {len}");
+                    // SAFETY: feature detected at runtime.
+                    let hw = unsafe { crc32c_hw(u32::MAX, slice) };
+                    assert_eq!(hw, crc32c_sw(u32::MAX, slice), "start {start} len {len}");
                 }
-                assert_eq!(crc32c(slice), crc32c_sw(slice), "start {start} len {len}");
+                assert_eq!(crc32c(slice), !crc32c_sw(u32::MAX, slice), "start {start} len {len}");
             }
         }
     }
@@ -323,7 +413,7 @@ mod tests {
         let r = FrozenReader::from_bytes(bytes.clone()).expect("parse");
         let mut again = FrozenWriter::new();
         for s in r.sections() {
-            again.add(&s.id, r.require(&s.id).expect("listed section").to_vec());
+            again.add(&s.id, r.require(&s.id).expect("listed section"));
         }
         assert_eq!(bytes, again.to_bytes(), "save -> load -> save must be byte-identical");
     }
@@ -375,7 +465,7 @@ mod tests {
         }
         // A value blob one float short is a typed error, not a short copy.
         let mut w = FrozenWriter::new();
-        w.add(SECTION_PARAM_MANIFEST, reader.require(SECTION_PARAM_MANIFEST).unwrap().to_vec());
+        w.add(SECTION_PARAM_MANIFEST, reader.require(SECTION_PARAM_MANIFEST).unwrap());
         let raw = reader.require(SECTION_PARAM_F32).unwrap();
         w.add(SECTION_PARAM_F32, raw[..raw.len() - 4].to_vec());
         let short = FrozenReader::from_bytes(w.to_bytes()).expect("container is valid");
@@ -418,7 +508,8 @@ mod tests {
         let loaded = mgr.load_latest_valid().expect("io").expect("some");
         assert_eq!(loaded.step, 30);
         assert_eq!(loaded.rejected.len(), 2);
-        let mut c = Cursor::new("STATE", loaded.reader.require("STATE").expect("section"));
+        let state = loaded.reader.require("STATE").expect("section");
+        let mut c = Cursor::new("STATE", &state);
         assert_eq!(c.u64s(3).expect("u64s"), vec![30, 8, 9]);
         fs::remove_dir_all(&dir).ok();
     }

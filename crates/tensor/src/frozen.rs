@@ -1,13 +1,14 @@
 //! Frozen serving artifact container: a versioned, CRC-guarded, section-table
-//! binary format whose payloads are 64-byte aligned so f32 matrices can be
-//! loaded with a single bulk copy instead of a per-element parse loop.
+//! binary format whose payloads are 64-byte aligned little-endian blobs, so
+//! f32 matrices load by reading their bytes straight into the destination
+//! tensor instead of a per-element parse loop.
 //!
 //! This module owns the *container* — the header, the section table, the
-//! integrity checks, the zero-copy float loads — plus the one parameter
-//! codec ([`add_params`] / [`restore_params`]) shared by the serving
-//! artifact, training checkpoints and `BootlegModel::save/load`. The layers
-//! above (`kb::frozen`, `core::frozen`, the trainer) decide what else goes
-//! in each file.
+//! integrity checks, the streamed reads and writes — plus the one parameter
+//! codec ([`add_params`] / [`restore_params`] / [`fill_params`]) shared by
+//! the serving artifact, training checkpoints and `BootlegModel::save/load`.
+//! The layers above (`kb::frozen`, `core::frozen`, the trainer) decide what
+//! else goes in each file.
 //!
 //! Binary layout (little-endian):
 //!
@@ -31,17 +32,28 @@
 //! * alignment gaps must be **zero**, offsets must be in-bounds, aligned,
 //!   strictly increasing, and non-overlapping.
 //!
+//! The reader never holds the file. [`FrozenReader`] keeps an open source
+//! (a `File`, or an `io::Cursor` over bytes already in memory) and runs
+//! every check above at open in one streamed pass through a fixed 1 MiB
+//! scratch buffer, keeping only the section table. A section
+//! read lands the payload straight in its destination — owned bytes, the
+//! parameter tensors, an f32 vector — and re-checks that section's CRC, so a
+//! file that changed after open is still caught.
+//!
 //! The reader is hardened against untrusted input: every length, offset,
 //! section id, and checksum is validated with a typed [`FrozenError`] before
-//! any slice is taken. It never panics and never reads out of bounds.
+//! anything is read into memory sized by it. It never panics and never reads
+//! out of bounds.
 
-use crate::arena;
-use crate::checkpoint::{atomic_write, crc32c};
+use crate::checkpoint::{atomic_write_with, crc32c, crc32c_combine, Crc32c};
 use crate::param::{ParamId, ParamStore};
+use crate::tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// File magic: "BTFZ" (Bootleg Frozen).
 pub const MAGIC: &[u8; 4] = b"BTFZ";
@@ -56,6 +68,10 @@ pub const HEADER_LEN: usize = 40;
 pub const SECTION_ENTRY_LEN: usize = 32;
 /// Corruption guard: refuse files claiming more sections than this.
 pub const MAX_SECTIONS: usize = 256;
+/// Largest read the reader makes at once, and the size of the one scratch
+/// buffer it holds while validating: a reader's memory does not grow with
+/// the file.
+const CHUNK: usize = 1 << 20;
 /// Section id of the parameter manifest: per parameter its name, shape, and
 /// float offset + length into [`SECTION_PARAM_F32`].
 pub const SECTION_PARAM_MANIFEST: &str = "PARAMNAM";
@@ -77,7 +93,8 @@ pub enum FrozenError {
     BadMagic,
     /// The container version is not one this reader understands.
     UnsupportedVersion { found: u32 },
-    /// The buffer is shorter than a length field claims.
+    /// The file is shorter than a length field claims (or than it was when
+    /// the reader opened it).
     Truncated { needed: usize, have: usize },
     /// A CRC check failed; `what` names the region ("file", "header", or a
     /// section id).
@@ -164,7 +181,7 @@ fn malformed(what: impl Into<String>) -> FrozenError {
 // Writer.
 // ---------------------------------------------------------------------------
 
-/// Accumulates named sections and serialises them into one artifact.
+/// Accumulates named sections and writes them as one artifact.
 ///
 /// Section order is preserved; ids must be 1..=8 ASCII bytes and unique.
 #[derive(Default)]
@@ -189,56 +206,77 @@ impl FrozenWriter {
         self
     }
 
-    /// Serialises the artifact to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Payload offsets, in section order, and the total file length.
+    fn layout(&self) -> (Vec<usize>, usize) {
+        let mut cursor = HEADER_LEN + self.sections.len() * SECTION_ENTRY_LEN;
+        let offsets = self
+            .sections
+            .iter()
+            .map(|(_, payload)| {
+                let off = align_up(cursor, PAYLOAD_ALIGN);
+                cursor = off + payload.len();
+                off
+            })
+            .collect();
+        (offsets, cursor + 4) // + trailer CRC
+    }
+
+    /// Writes the artifact to `out`, section by section. The trailer CRC is
+    /// combined from the per-section CRCs as the payloads go out, so the
+    /// file is never assembled in memory and each payload is checksummed
+    /// once.
+    pub fn write_to(&self, out: &mut dyn Write) -> io::Result<()> {
         assert!(self.sections.len() <= MAX_SECTIONS, "too many sections");
-        let table_len = self.sections.len() * SECTION_ENTRY_LEN;
-        let payload_start = HEADER_LEN + table_len;
+        let payload_start = HEADER_LEN + self.sections.len() * SECTION_ENTRY_LEN;
+        let (offsets, total_len) = self.layout();
+        let crcs: Vec<u32> = self.sections.iter().map(|(_, payload)| crc32c(payload)).collect();
 
-        // Lay out payloads first so the table can point at them.
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut cursor = payload_start;
-        for (_, payload) in &self.sections {
-            cursor = align_up(cursor, PAYLOAD_ALIGN);
-            offsets.push(cursor);
-            cursor += payload.len();
-        }
-        let total_len = cursor + 4; // + trailer CRC
-
-        let mut buf = vec![0u8; cursor];
-        buf[0..4].copy_from_slice(MAGIC);
-        buf[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        buf[8..12].copy_from_slice(&0u32.to_le_bytes()); // flags
-        buf[12..16].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        buf[16..20].copy_from_slice(&(PAYLOAD_ALIGN as u32).to_le_bytes());
-        buf[20..24].copy_from_slice(&0u32.to_le_bytes()); // reserved
-        buf[24..32].copy_from_slice(&(total_len as u64).to_le_bytes());
+        let mut head = vec![0u8; payload_start];
+        head[0..4].copy_from_slice(MAGIC);
+        head[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        head[8..12].copy_from_slice(&0u32.to_le_bytes()); // flags
+        head[12..16].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        head[16..20].copy_from_slice(&(PAYLOAD_ALIGN as u32).to_le_bytes());
+        head[20..24].copy_from_slice(&0u32.to_le_bytes()); // reserved
+        head[24..32].copy_from_slice(&(total_len as u64).to_le_bytes());
         // header_crc at [32..36] is filled below; header_pad [36..40] stays 0.
-
         for (i, (id, payload)) in self.sections.iter().enumerate() {
             let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
-            buf[e..e + id.len()].copy_from_slice(id.as_bytes());
-            buf[e + 8..e + 16].copy_from_slice(&(offsets[i] as u64).to_le_bytes());
-            buf[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            buf[e + 24..e + 28].copy_from_slice(&crc32c(payload).to_le_bytes());
+            head[e..e + id.len()].copy_from_slice(id.as_bytes());
+            head[e + 8..e + 16].copy_from_slice(&(offsets[i] as u64).to_le_bytes());
+            head[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            head[e + 24..e + 28].copy_from_slice(&crcs[i].to_le_bytes());
             // entry pad [e+28..e+32] stays 0.
-            buf[offsets[i]..offsets[i] + payload.len()].copy_from_slice(payload);
         }
-
         // Header CRC covers header + table with the CRC field itself zeroed
         // (it is zero right now).
-        let hcrc = crc32c(&buf[..payload_start]);
-        buf[32..36].copy_from_slice(&hcrc.to_le_bytes());
+        let hcrc = crc32c(&head);
+        head[32..36].copy_from_slice(&hcrc.to_le_bytes());
+        out.write_all(&head)?;
 
-        let fcrc = crc32c(&buf);
-        buf.extend_from_slice(&fcrc.to_le_bytes());
-        debug_assert_eq!(buf.len(), total_len);
+        let mut file_crc = crc32c(&head);
+        let mut at = payload_start;
+        for (((_, payload), &off), &crc) in self.sections.iter().zip(&offsets).zip(&crcs) {
+            let gap = &[0u8; PAYLOAD_ALIGN][..off - at];
+            out.write_all(gap)?;
+            out.write_all(payload)?;
+            file_crc = crc32c_combine(file_crc, crc32c(gap), gap.len() as u64);
+            file_crc = crc32c_combine(file_crc, crc, payload.len() as u64);
+            at = off + payload.len();
+        }
+        out.write_all(&file_crc.to_le_bytes())
+    }
+
+    /// Serialises the artifact to bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.layout().1);
+        self.write_to(&mut buf).expect("writing to a Vec cannot fail");
         buf
     }
 
-    /// Writes the artifact to `path` atomically (temp file + rename).
+    /// Streams the artifact to `path` atomically (temp file + rename).
     pub fn save(&self, path: &Path) -> Result<(), FrozenError> {
-        atomic_write(path, &self.to_bytes())?;
+        atomic_write_with(path, |w| self.write_to(w))?;
         Ok(())
     }
 }
@@ -260,27 +298,45 @@ pub struct SectionInfo {
     pub crc: u32,
 }
 
-/// A fully validated artifact: owns the file bytes, hands out payload slices.
+/// What a reader reads from: an open file, or bytes already in memory.
+trait Source: Read + Seek + Send {}
+impl<T: Read + Seek + Send> Source for T {}
+
+/// A validated artifact: the section table plus the open source it came
+/// from. The reader holds no payload; each section read goes back to the
+/// source.
 ///
-/// Construction performs *all* integrity checks up front (magic, version,
-/// lengths, alignment, ordering, padding, all CRCs); after that, section
-/// access is infallible slicing.
+/// Construction performs *all* integrity checks (magic, version, lengths,
+/// alignment, ordering, padding, all CRCs) in one streamed pass. Section
+/// reads then re-check the CRC of what they read, so a source that changed
+/// since (a file truncated or rewritten in place) is a typed error too.
 pub struct FrozenReader {
-    buf: Vec<u8>,
+    /// Locked per read: every read seeks first, so the position a panicked
+    /// read left behind does no harm.
+    src: Mutex<Box<dyn Source>>,
+    /// Source length at open.
+    len: usize,
     sections: Vec<SectionInfo>,
 }
 
 impl FrozenReader {
-    /// Reads and validates an artifact file.
+    /// Opens and validates an artifact file, keeping the file open for
+    /// section reads.
     pub fn load(path: &Path) -> Result<Self, FrozenError> {
-        let buf = std::fs::read(path)?;
-        Self::from_bytes(buf)
+        Self::open(Box::new(File::open(path)?))
     }
 
     /// Validates an artifact held in memory.
     pub fn from_bytes(buf: Vec<u8>) -> Result<Self, FrozenError> {
-        let sections = validate(&buf)?;
-        Ok(Self { buf, sections })
+        Self::open(Box::new(io::Cursor::new(buf)))
+    }
+
+    fn open(mut src: Box<dyn Source>) -> Result<Self, FrozenError> {
+        let len = usize::try_from(src.seek(SeekFrom::End(0))?)
+            .map_err(|_| malformed("file does not fit in memory addresses"))?;
+        src.seek(SeekFrom::Start(0))?;
+        let sections = validate(&mut *src, len)?;
+        Ok(Self { src: Mutex::new(src), len, sections })
     }
 
     /// All sections, in file order.
@@ -290,78 +346,89 @@ impl FrozenReader {
 
     /// Total artifact size in bytes.
     pub fn len_bytes(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
-    /// Payload bytes of a section, if present.
-    pub fn section(&self, id: &str) -> Option<&[u8]> {
-        let s = self.sections.iter().find(|s| s.id == id)?;
-        Some(&self.buf[s.off..s.off + s.len])
+    /// The table entry of section `id`, if present.
+    pub fn section(&self, id: &str) -> Option<&SectionInfo> {
+        self.sections.iter().find(|s| s.id == id)
     }
 
-    /// Payload bytes of a required section.
-    pub fn require(&self, id: &str) -> Result<&[u8], FrozenError> {
+    fn find(&self, id: &str) -> Result<&SectionInfo, FrozenError> {
         self.section(id).ok_or_else(|| FrozenError::SectionMissing { section: id.to_string() })
     }
 
-    /// Loads a required section as f32s with one bulk copy into an
-    /// arena-backed buffer — no per-element parse loop. Payloads are 64-byte
-    /// aligned in the file, so on little-endian targets the bytes *are* the
-    /// floats and a single `memcpy` suffices.
+    /// Payload bytes of a required section.
+    pub fn require(&self, id: &str) -> Result<Vec<u8>, FrozenError> {
+        let s = self.find(id)?;
+        let mut buf = vec![0u8; s.len];
+        self.read_into(s, &mut [&mut buf])?;
+        Ok(buf)
+    }
+
+    /// Loads a required section as f32s, read straight into the returned
+    /// vector.
     pub fn f32_section(&self, id: &str) -> Result<Vec<f32>, FrozenError> {
-        let bytes = self.require(id)?;
-        if bytes.len() % 4 != 0 {
-            return Err(FrozenError::SectionSchema {
-                section: id.to_string(),
-                what: format!("f32 payload length {} not a multiple of 4", bytes.len()),
-            });
+        let len = self.find(id)?.len;
+        if len % 4 != 0 {
+            return Err(FrozenError::schema(
+                id,
+                format!("f32 payload length {len} not a multiple of 4"),
+            ));
         }
-        Ok(bulk_f32(bytes))
+        let mut out = vec![0.0; len / 4];
+        self.read_f32s(id, &mut [&mut out])?;
+        Ok(out)
+    }
+
+    /// Reads a required f32 section into `dests`, which laid end to end
+    /// must hold exactly its values. Payloads are little-endian and 64-byte
+    /// aligned in the file, so on little-endian targets the bytes *are* the
+    /// floats and land in place with no parse. On error the destinations
+    /// hold unspecified values.
+    pub fn read_f32s(&self, id: &str, dests: &mut [&mut [f32]]) -> Result<(), FrozenError> {
+        let s = self.find(id)?;
+        let floats: usize = dests.iter().map(|d| d.len()).sum();
+        if floats.checked_mul(4) != Some(s.len) {
+            return Err(FrozenError::schema(id, format!("{} bytes for {floats} f32s", s.len)));
+        }
+        let mut bytes: Vec<&mut [u8]> = dests.iter_mut().map(|d| f32_bytes_mut(d)).collect();
+        self.read_into(s, &mut bytes)?;
+        #[cfg(not(target_endian = "little"))]
+        for x in dests.iter_mut().flat_map(|d| d.iter_mut()) {
+            *x = f32::from_bits(u32::from_le(x.to_bits()));
+        }
+        Ok(())
+    }
+
+    /// Reads section `s` into `dests` (which together hold exactly its
+    /// bytes), checking its CRC on the way.
+    fn read_into(&self, s: &SectionInfo, dests: &mut [&mut [u8]]) -> Result<(), FrozenError> {
+        debug_assert_eq!(dests.iter().map(|d| d.len()).sum::<usize>(), s.len);
+        let mut src = self.src.lock().unwrap_or_else(PoisonError::into_inner);
+        src.seek(SeekFrom::Start(s.off as u64))?;
+        let mut crc = Crc32c::new();
+        for chunk in dests.iter_mut().flat_map(|d| d.chunks_mut(CHUNK)) {
+            read_full(&mut **src, chunk, self.len)?;
+            crc.update(chunk);
+        }
+        if crc.finish() != s.crc {
+            return Err(FrozenError::ChecksumMismatch { what: s.id.clone() });
+        }
+        Ok(())
     }
 }
 
-/// Bulk-copies little-endian f32 bytes into an arena-backed `Vec<f32>`.
-pub fn bulk_f32(bytes: &[u8]) -> Vec<f32> {
-    let n = bytes.len() / 4;
-    let mut out = arena::take(n);
-    debug_assert_eq!(out.len(), n);
-    #[cfg(target_endian = "little")]
-    {
-        // Safety: `out` holds exactly `n` initialised f32s (= bytes.len()
-        // bytes); f32 has no invalid bit patterns; the regions are distinct
-        // allocations so they cannot overlap.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, n * 4);
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    for (i, c) in bytes.chunks_exact(4).enumerate() {
-        out[i] = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-    }
-    out
+/// The bytes of `vals`, for reading little-endian floats in place.
+fn f32_bytes_mut(vals: &mut [f32]) -> &mut [u8] {
+    // SAFETY: an f32 is four initialised bytes with no padding and every bit
+    // pattern is a valid f32, so the `vals.len() * 4` bytes behind `vals`
+    // may be read and written as `[u8]` (alignment 1) while `vals` is
+    // mutably borrowed.
+    unsafe { std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast::<u8>(), vals.len() * 4) }
 }
 
-/// Bulk-copies little-endian f32 bytes into an existing `&mut [f32]` —
-/// the in-place dual of [`bulk_f32`] for restore paths that already own
-/// their destination buffers (one memcpy, no intermediate allocation).
-/// Panics if the lengths disagree; callers bounds-check first.
-pub fn copy_f32(bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len() * 4, "copy_f32 length mismatch");
-    #[cfg(target_endian = "little")]
-    {
-        // Safety: equal byte counts just asserted; f32 has no invalid bit
-        // patterns; `&[u8]` and `&mut [f32]` cannot legally alias.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, bytes.len());
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-    }
-}
-
-/// Encodes f32s as little-endian bytes (the write-side dual of [`bulk_f32`]).
+/// Encodes f32s as little-endian bytes.
 pub fn f32_bytes(vals: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 4);
     push_f32_bytes(&mut out, vals);
@@ -408,23 +475,22 @@ pub fn add_params(w: &mut FrozenWriter, store: &ParamStore) {
     w.add(SECTION_PARAM_F32, values);
 }
 
-/// Overwrites every parameter of `store` from the sections written by
-/// [`add_params`], one bulk copy per tensor. Every manifest entry must name
-/// a parameter of `store` with the same shape, and every parameter must be
-/// covered exactly once. The whole manifest is validated before the first
-/// value is written, so a failed restore leaves `store` untouched. Writes go
-/// through `get_mut`, bumping the store version so weight-derived caches
-/// (the entity-payload plane) rebuild.
-pub fn restore_params(reader: &FrozenReader, store: &mut ParamStore) -> Result<(), FrozenError> {
-    let raw = reader.require(SECTION_PARAM_F32)?;
-    if raw.len() % 4 != 0 {
+/// Checks the manifest written by [`add_params`] against `store` and
+/// returns the parameters in the order their values lie in the value blob.
+/// Every manifest entry must name a parameter of `store` with the same
+/// shape, every parameter must be covered exactly once, and the value
+/// ranges must tile the blob with no gap or overlap.
+fn param_layout(reader: &FrozenReader, store: &ParamStore) -> Result<Vec<ParamId>, FrozenError> {
+    let raw_len = reader.find(SECTION_PARAM_F32)?.len;
+    if raw_len % 4 != 0 {
         return Err(FrozenError::schema(
             SECTION_PARAM_F32,
-            format!("{} bytes is not a whole number of f32s", raw.len()),
+            format!("{raw_len} bytes is not a whole number of f32s"),
         ));
     }
-    let total_floats = (raw.len() / 4) as u64;
-    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, reader.require(SECTION_PARAM_MANIFEST)?);
+    let total_floats = (raw_len / 4) as u64;
+    let manifest = reader.require(SECTION_PARAM_MANIFEST)?;
+    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, &manifest);
     let n = c.count(MAX_PARAMS)?;
     if n != store.len() {
         return Err(FrozenError::schema(
@@ -434,9 +500,8 @@ pub fn restore_params(reader: &FrozenReader, store: &mut ParamStore) -> Result<(
     }
     let by_name: HashMap<&str, ParamId> =
         store.iter().map(|(id, p)| (p.name.as_str(), id)).collect();
-    // (parameter, byte offset of its values in `raw`), checked in full
-    // before anything is copied.
-    let mut plan = Vec::with_capacity(n);
+    // (float offset in the blob, parameter), in manifest order.
+    let mut layout = Vec::with_capacity(n);
     let mut seen = vec![false; n];
     for _ in 0..n {
         let name = c.string(1 << 10)?;
@@ -469,24 +534,67 @@ pub fn restore_params(reader: &FrozenReader, store: &mut ParamStore) -> Result<(
                 format!("parameter {name:?}: {len} values for {} slots", live.numel()),
             ));
         }
-        // In range of `raw`, so `off * 4` fits in usize.
-        plan.push((id, off as usize * 4));
+        layout.push((off, id));
     }
     c.finish()?;
-    for (id, at) in plan {
-        let dst = store.get_mut(id).data.data_mut();
-        copy_f32(&raw[at..at + dst.len() * 4], dst);
+    // Stable, so zero-length parameters keep their store order.
+    layout.sort_by_key(|&(off, _)| off);
+    let mut end = 0;
+    for &(off, id) in &layout {
+        if off != end {
+            let what = format!("parameter values leave a gap or overlap at float {end}");
+            return Err(FrozenError::schema(SECTION_PARAM_MANIFEST, what));
+        }
+        end += store.get(id).data.numel() as u64;
+    }
+    if end != total_floats {
+        let what = format!("{total_floats} values, the parameters take {end}");
+        return Err(FrozenError::schema(SECTION_PARAM_F32, what));
+    }
+    Ok(layout.into_iter().map(|(_, id)| id).collect())
+}
+
+/// Overwrites every parameter of `store` from the sections written by
+/// [`add_params`], all or nothing: the manifest is checked in full, the
+/// values land in buffers this restore owns, and they replace the store's
+/// tensors only once the blob's CRC has matched, so a failed restore leaves
+/// `store` untouched. Writes go through `get_mut`, bumping the store version
+/// so weight-derived caches (the entity-payload plane) rebuild.
+pub fn restore_params(reader: &FrozenReader, store: &mut ParamStore) -> Result<(), FrozenError> {
+    let order = param_layout(reader, store)?;
+    let mut values: Vec<Vec<f32>> =
+        order.iter().map(|&id| vec![0.0; store.get(id).data.numel()]).collect();
+    let mut dests: Vec<&mut [f32]> = values.iter_mut().map(Vec::as_mut_slice).collect();
+    reader.read_f32s(SECTION_PARAM_F32, &mut dests)?;
+    for (id, v) in order.into_iter().zip(values) {
+        let p = store.get_mut(id);
+        p.data = Tensor::new(p.data.dims(), v);
     }
     Ok(())
 }
 
+/// [`restore_params`] for a store built only to receive these values (the
+/// model a thaw constructs): the values are read straight into the store's
+/// own tensors, with no second copy of the parameters alive at any point.
+/// On error the store holds partly written values and must be dropped.
+pub fn fill_params(reader: &FrozenReader, store: &mut ParamStore) -> Result<(), FrozenError> {
+    let order = param_layout(reader, store)?;
+    let mut slots: Vec<Option<&mut [f32]>> =
+        store.iter_mut().map(|(_, p)| Some(p.data.data_mut())).collect();
+    let mut dests: Vec<&mut [f32]> = order
+        .iter()
+        .map(|id| slots[id.index()].take().expect("the layout names each parameter once"))
+        .collect();
+    reader.read_f32s(SECTION_PARAM_F32, &mut dests)
+}
+
 // ---------------------------------------------------------------------------
-// Validation. Every check lands before any slice it guards.
+// Validation. Every check lands before any read it guards.
 // ---------------------------------------------------------------------------
 
-fn need(buf: &[u8], n: usize) -> Result<(), FrozenError> {
-    if buf.len() < n {
-        return Err(FrozenError::Truncated { needed: n, have: buf.len() });
+fn need(len: usize, n: usize) -> Result<(), FrozenError> {
+    if len < n {
+        return Err(FrozenError::Truncated { needed: n, have: len });
     }
     Ok(())
 }
@@ -501,71 +609,121 @@ fn u64_at(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-fn validate(buf: &[u8]) -> Result<Vec<SectionInfo>, FrozenError> {
-    need(buf, 8)?;
-    if &buf[0..4] != MAGIC {
+/// `read_exact` for a source that was `len` bytes long at open: running
+/// out of bytes is truncation, not a bare I/O error.
+fn read_full(src: &mut dyn Source, buf: &mut [u8], len: usize) -> Result<(), FrozenError> {
+    src.read_exact(buf).map_err(|e| {
+        if e.kind() != io::ErrorKind::UnexpectedEof {
+            return e.into();
+        }
+        let have = src.seek(SeekFrom::End(0)).map_or(0, |n| usize::try_from(n).unwrap_or(0));
+        FrozenError::Truncated { needed: len, have }
+    })
+}
+
+/// Reads the next `n` bytes of `src` through `scratch`, showing each piece
+/// to `inspect`; returns their CRC.
+fn stream(
+    src: &mut dyn Source,
+    mut n: usize,
+    scratch: &mut [u8],
+    len: usize,
+    mut inspect: impl FnMut(&[u8]),
+) -> Result<u32, FrozenError> {
+    let mut crc = Crc32c::new();
+    while n > 0 {
+        let k = n.min(scratch.len());
+        let piece = &mut scratch[..k];
+        read_full(src, piece, len)?;
+        crc.update(piece);
+        inspect(piece);
+        n -= piece.len();
+    }
+    Ok(crc.finish())
+}
+
+/// Reads the zero padding of the next `n` bytes; returns its CRC.
+fn stream_padding(
+    src: &mut dyn Source,
+    n: usize,
+    scratch: &mut [u8],
+    len: usize,
+    what: impl FnOnce() -> String,
+) -> Result<u32, FrozenError> {
+    let mut zero = true;
+    let crc = stream(src, n, scratch, len, |piece| zero &= piece.iter().all(|&b| b == 0))?;
+    if !zero {
+        return Err(malformed(what()));
+    }
+    Ok(crc)
+}
+
+/// Validates the `len`-byte artifact that `src` is positioned at the start
+/// of, in one pass, and returns its section table.
+fn validate(src: &mut dyn Source, len: usize) -> Result<Vec<SectionInfo>, FrozenError> {
+    need(len, 8)?;
+    let mut head = vec![0u8; len.min(HEADER_LEN)];
+    read_full(src, &mut head, len)?;
+    if &head[0..4] != MAGIC {
         return Err(FrozenError::BadMagic);
     }
-    let version = u32_at(buf, 4);
+    let version = u32_at(&head, 4);
     if version != VERSION {
         return Err(FrozenError::UnsupportedVersion { found: version });
     }
-    need(buf, HEADER_LEN + 4)?;
+    need(len, HEADER_LEN + 4)?;
 
-    let flags = u32_at(buf, 8);
+    let flags = u32_at(&head, 8);
     if flags != 0 {
         return Err(malformed(format!("unknown flags {flags:#x}")));
     }
-    let n_sections = u32_at(buf, 12) as usize;
+    let n_sections = u32_at(&head, 12) as usize;
     if n_sections > MAX_SECTIONS {
         return Err(malformed(format!("section count {n_sections} exceeds {MAX_SECTIONS}")));
     }
-    let align = u32_at(buf, 16) as usize;
+    let align = u32_at(&head, 16) as usize;
     if align != PAYLOAD_ALIGN {
         return Err(malformed(format!("payload alignment {align}, expected {PAYLOAD_ALIGN}")));
     }
-    if u32_at(buf, 20) != 0 {
+    if u32_at(&head, 20) != 0 {
         return Err(malformed("reserved header field is non-zero"));
     }
-    let total_len = u64_at(buf, 24);
-    if total_len != buf.len() as u64 {
-        // A short buffer is truncation; a long one is trailing garbage. Both
+    let total_len = u64_at(&head, 24);
+    if total_len != len as u64 {
+        // A short file is truncation; a long one is trailing garbage. Both
         // must be caught before the trailer CRC is located via total_len.
-        if (buf.len() as u64) < total_len {
+        if (len as u64) < total_len {
             let needed = usize::try_from(total_len).unwrap_or(usize::MAX);
-            return Err(FrozenError::Truncated { needed, have: buf.len() });
+            return Err(FrozenError::Truncated { needed, have: len });
         }
-        return Err(malformed(format!(
-            "file is {} bytes but header claims {total_len}",
-            buf.len()
-        )));
+        return Err(malformed(format!("file is {len} bytes but header claims {total_len}")));
     }
-    if u32_at(buf, 36) != 0 {
+    if u32_at(&head, 36) != 0 {
         return Err(malformed("header padding is non-zero"));
     }
 
-    let table_len = n_sections
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or_else(|| malformed("section table size overflows"))?;
-    let payload_start = HEADER_LEN
-        .checked_add(table_len)
-        .ok_or_else(|| malformed("section table size overflows"))?;
+    // At most MAX_SECTIONS entries, so neither sum can overflow.
+    let payload_start = HEADER_LEN + n_sections * SECTION_ENTRY_LEN;
     // The table plus trailer must fit.
-    need(buf, payload_start + 4)?;
+    need(len, payload_start + 4)?;
+    head.resize(payload_start, 0);
+    read_full(src, &mut head[HEADER_LEN..], len)?;
 
     // Header CRC covers header + table with the CRC field zeroed.
-    let mut head: Vec<u8> = buf[..payload_start].to_vec();
-    head[32..36].copy_from_slice(&[0u8; 4]);
-    if crc32c(&head) != u32_at(buf, 32) {
+    let mut hcrc = Crc32c::new();
+    hcrc.update(&head[..32]);
+    hcrc.update(&[0; 4]);
+    hcrc.update(&head[36..]);
+    if hcrc.finish() != u32_at(&head, 32) {
         return Err(FrozenError::ChecksumMismatch { what: "header".into() });
     }
 
-    let payload_end = buf.len() - 4; // everything before the trailer CRC
+    let payload_end = len - 4; // everything before the trailer CRC
     let mut sections = Vec::with_capacity(n_sections);
     let mut prev_end = payload_start;
     for i in 0..n_sections {
         let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
-        let raw_id = &buf[e..e + 8];
+        let raw_id = &head[e..e + 8];
         let id_len = raw_id.iter().position(|&b| b == 0).unwrap_or(8);
         let (name, pad) = raw_id.split_at(id_len);
         if name.is_empty() || !name.iter().all(|b| b.is_ascii_graphic()) {
@@ -578,18 +736,18 @@ fn validate(buf: &[u8]) -> Result<Vec<SectionInfo>, FrozenError> {
         if sections.iter().any(|s: &SectionInfo| s.id == id) {
             return Err(FrozenError::DuplicateSection { section: id });
         }
-        let off64 = u64_at(buf, e + 8);
-        let len64 = u64_at(buf, e + 16);
-        let crc = u32_at(buf, e + 24);
-        if u32_at(buf, e + 28) != 0 {
+        let off64 = u64_at(&head, e + 8);
+        let len64 = u64_at(&head, e + 16);
+        let crc = u32_at(&head, e + 24);
+        if u32_at(&head, e + 28) != 0 {
             return Err(malformed(format!("section {id:?} entry padding is non-zero")));
         }
         let off = usize::try_from(off64)
             .map_err(|_| FrozenError::OutOfBounds { section: id.clone() })?;
-        let len = usize::try_from(len64)
+        let sec_len = usize::try_from(len64)
             .map_err(|_| FrozenError::OutOfBounds { section: id.clone() })?;
         let end = off
-            .checked_add(len)
+            .checked_add(sec_len)
             .ok_or_else(|| FrozenError::OutOfBounds { section: id.clone() })?;
         if off < payload_start || end > payload_end {
             return Err(FrozenError::OutOfBounds { section: id });
@@ -597,41 +755,51 @@ fn validate(buf: &[u8]) -> Result<Vec<SectionInfo>, FrozenError> {
         if off % PAYLOAD_ALIGN != 0 {
             return Err(malformed(format!("section {id:?} offset {off} is misaligned")));
         }
-        // Strictly increasing, non-overlapping; inter-section gap must be
-        // zero bytes so every file byte is accounted for.
+        // Strictly increasing, non-overlapping.
         if off < prev_end {
             return Err(malformed(format!(
                 "section {id:?} overlaps or is out of order (offset {off} < {prev_end})"
             )));
         }
-        if !buf[prev_end..off].iter().all(|&b| b == 0) {
-            return Err(malformed(format!("non-zero padding before section {id:?}")));
-        }
         prev_end = end;
-        sections.push(SectionInfo { id, off, len, crc });
-    }
-    // Tail slack after the last payload must also be zero.
-    if !buf[prev_end..payload_end].iter().all(|&b| b == 0) {
-        return Err(malformed("non-zero padding after the last section"));
+        sections.push(SectionInfo { id, off, len: sec_len, crc });
     }
 
-    // Checksums last, verified in parallel: the whole-file trailer (covers
-    // every byte — header, table, payloads, padding) plus every per-section
-    // CRC. Structural checks above are all bounds-checked with typed
-    // errors, so running them on not-yet-integrity-checked bytes is safe;
-    // batching the CRC passes here lets the pool wall-clock ~2 full-file
-    // passes of work at the cost of the largest single range. Artifact
-    // validation sits on the serve-ready critical path (`bench_cold_start`).
-    let mut jobs: Vec<(&str, &[u8], u32)> = Vec::with_capacity(sections.len() + 1);
-    jobs.push(("file", &buf[..buf.len() - 4], u32_at(buf, buf.len() - 4)));
+    // One pass over the payload region in file order: every gap must be
+    // zero so each file byte is accounted for, every section is
+    // checksummed, and the whole-file CRC is combined from the pieces.
+    // Structural errors outrank checksum errors, and the file CRC outranks
+    // a section's.
+    let mut scratch = vec![0u8; CHUNK.min(payload_end - payload_start)];
+    let mut file_crc = crc32c(&head);
+    let mut bad_section = None;
+    let mut at = payload_start;
     for s in &sections {
-        jobs.push((&s.id, &buf[s.off..s.off + s.len], s.crc));
+        let gap = s.off - at;
+        let crc = stream_padding(src, gap, &mut scratch, len, || {
+            format!("non-zero padding before section {:?}", s.id)
+        })?;
+        file_crc = crc32c_combine(file_crc, crc, gap as u64);
+        let crc = stream(src, s.len, &mut scratch, len, |_| {})?;
+        if crc != s.crc && bad_section.is_none() {
+            bad_section = Some(s.id.clone());
+        }
+        file_crc = crc32c_combine(file_crc, crc, s.len as u64);
+        at = s.off + s.len;
     }
-    let ok = bootleg_pool::map(&jobs, |&(_, range, want)| crc32c(range) == want);
-    if let Some(i) = ok.iter().position(|&pass| !pass) {
-        return Err(FrozenError::ChecksumMismatch { what: jobs[i].0.to_string() });
+    let tail = payload_end - at;
+    let crc = stream_padding(src, tail, &mut scratch, len, || {
+        "non-zero padding after the last section".into()
+    })?;
+    file_crc = crc32c_combine(file_crc, crc, tail as u64);
+    let mut trailer = [0u8; 4];
+    read_full(src, &mut trailer, len)?;
+    if u32::from_le_bytes(trailer) != file_crc {
+        return Err(FrozenError::ChecksumMismatch { what: "file".into() });
     }
-    drop(jobs);
+    if let Some(what) = bad_section {
+        return Err(FrozenError::ChecksumMismatch { what });
+    }
     Ok(sections)
 }
 
@@ -813,6 +981,7 @@ mod tests {
         assert_eq!(r.require("alpha").unwrap(), &[1, 2, 3, 4, 5]);
         assert_eq!(r.f32_section("beta").unwrap(), vec![1.0, -2.5, 3.25]);
         assert_eq!(r.require("gamma").unwrap(), &[] as &[u8]);
+        assert_eq!(r.section("alpha").map(|s| s.len), Some(5));
         assert!(r.section("delta").is_none());
         assert!(matches!(
             r.require("delta"),

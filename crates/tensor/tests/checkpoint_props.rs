@@ -1,7 +1,9 @@
 //! Property tests for checkpoint containers: serialization is a bijection
 //! on valid byte strings, and every corruption is detected.
 
-use bootleg_tensor::checkpoint::{atomic_write, crc32c, CheckpointManager};
+use bootleg_tensor::checkpoint::{
+    atomic_write, crc32c, crc32c_combine, CheckpointManager, Crc32c,
+};
 use bootleg_tensor::frozen::{
     add_params, restore_params, Builder, Cursor, FrozenError, FrozenReader, FrozenWriter,
 };
@@ -42,6 +44,45 @@ fn restore(store: &mut ParamStore, bytes: &[u8]) -> Result<(), FrozenError> {
 
 proptest! {
     #[test]
+    fn crc32c_of_any_chunking_equals_one_shot(
+        bytes in proptest::collection::vec(0u8..=255, 0..600),
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        // Split the buffer at arbitrary (possibly repeated, possibly empty)
+        // points and feed the pieces in order.
+        let mut at: Vec<usize> = cuts.iter().map(|f| (bytes.len() as f64 * f) as usize).collect();
+        at.sort_unstable();
+        let mut crc = Crc32c::new();
+        let mut start = 0;
+        for &end in at.iter().chain(std::iter::once(&bytes.len())) {
+            crc.update(&bytes[start..end]);
+            start = end;
+        }
+        prop_assert_eq!(crc.finish(), crc32c(&bytes));
+    }
+
+    #[test]
+    fn crc32c_combine_equals_crc_of_concatenation(
+        a in proptest::collection::vec(0u8..=255, 0..300),
+        b in proptest::collection::vec(0u8..=255, 0..300),
+    ) {
+        let whole = [a.as_slice(), b.as_slice()].concat();
+        prop_assert_eq!(crc32c_combine(crc32c(&a), crc32c(&b), b.len() as u64), crc32c(&whole));
+    }
+
+    #[test]
+    fn crc32c_combine_spans_long_zero_runs(
+        a in proptest::collection::vec(0u8..=255, 0..64),
+        zeros in 0usize..(1 << 20),
+    ) {
+        // Lengths far past the operand sizes above exercise every bit of
+        // the zero-run operator's square-and-multiply.
+        let run = vec![0u8; zeros];
+        let whole = [a.as_slice(), run.as_slice()].concat();
+        prop_assert_eq!(crc32c_combine(crc32c(&a), crc32c(&run), zeros as u64), crc32c(&whole));
+    }
+
+    #[test]
     fn save_load_save_is_byte_identical(
         sections in proptest::collection::vec(
             (0u8..32, proptest::collection::vec(0u8..=255, 0..200)),
@@ -54,7 +95,7 @@ proptest! {
         // bytes: save -> load -> save is the identity on the file.
         let mut again = FrozenWriter::new();
         for s in reloaded.sections() {
-            again.add(&s.id, reloaded.require(&s.id).expect("listed section").to_vec());
+            again.add(&s.id, reloaded.require(&s.id).expect("listed section"));
         }
         prop_assert_eq!(again.to_bytes(), bytes);
     }

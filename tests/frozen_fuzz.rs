@@ -5,11 +5,19 @@
 //! flips, shuffled section offsets, inflated lengths, duplicated section
 //! ids, and even corruption with all checksums recomputed by the attacker —
 //! must come back as a typed error, never a panic, an out-of-bounds slice,
-//! or an unwind. Both loader layers are exercised: the raw container
-//! validator ([`FrozenReader::from_bytes`]) and the semantic layer above it
-//! — the full thaw ([`bootleg::core::frozen::thaw_from_bytes`]) for
-//! artifacts, and resume through [`train_resumable`] for checkpoints, where
-//! a refused newest file may instead fall back to an older valid one.
+//! or an unwind. Both loader layers are exercised, from memory and from a
+//! file: the raw container validator ([`FrozenReader::from_bytes`] and
+//! [`FrozenReader::load`], which must agree error for error) and the
+//! semantic layer above it — the full thaw (`thaw_from_bytes` and
+//! `thaw_from_path`) for artifacts, resume through [`train_resumable`] for
+//! checkpoints (where a refused newest file may instead fall back to an
+//! older valid one), and `BootlegModel::load` for both.
+//!
+//! The reader keeps the file open and re-reads each section on demand, so
+//! the suite also truncates the file or flips a payload byte *after* open:
+//! every section read that sees the change is a typed error, and the
+//! all-or-nothing restores (`restore_params`, `Adam::restore_state`) leave
+//! their state bit-for-bit unchanged.
 
 use bootleg::core::{
     frozen, train_resumable, BootlegConfig, BootlegModel, CheckpointConfig, FaultPlan,
@@ -17,15 +25,16 @@ use bootleg::core::{
 };
 use bootleg::corpus::Corpus;
 use bootleg::kb::{EntityId, KnowledgeBase};
-use bootleg::nn::optim::{SECTION_ADAM_M, SECTION_ADAM_STEP, SECTION_ADAM_V};
+use bootleg::nn::optim::{Adam, SECTION_ADAM_M, SECTION_ADAM_STEP, SECTION_ADAM_V};
 use bootleg::tensor::checkpoint::crc32c;
 use bootleg::tensor::frozen::{
-    Builder, Cursor, FrozenReader, FrozenWriter, HEADER_LEN, SECTION_ENTRY_LEN,
-    SECTION_PARAM_F32, SECTION_PARAM_MANIFEST,
+    add_params, restore_params, Builder, Cursor, FrozenError, FrozenReader, FrozenWriter,
+    HEADER_LEN, SECTION_ENTRY_LEN, SECTION_PARAM_F32, SECTION_PARAM_MANIFEST,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io::{Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -108,6 +117,70 @@ fn scratch_dir() -> PathBuf {
     dir
 }
 
+/// A scratch file holding `bytes`, removed on drop.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(bytes: &[u8]) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("bootleg_fuzz_file_{}_{n}.btfz", std::process::id()));
+        std::fs::write(&path, bytes).expect("write scratch file");
+        Self(path)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Whether the container validator refuses `bytes`, from memory and from a
+/// file alike (the two must fail with the same typed error).
+fn container_refuses(bytes: &[u8]) -> bool {
+    let file = TempFile::new(bytes);
+    let from_bytes = FrozenReader::from_bytes(bytes.to_vec()).err();
+    let from_file = FrozenReader::load(file.path()).err();
+    assert_eq!(from_bytes, from_file, "memory and file readers disagree");
+    from_bytes.is_some()
+}
+
+/// Every parameter value, as bytes, for bit-for-bit comparisons.
+fn param_bytes(model: &BootlegModel) -> Vec<u8> {
+    let mut w = FrozenWriter::new();
+    add_params(&mut w, &model.params);
+    w.to_bytes()
+}
+
+/// The whole Adam state, as bytes, for bit-for-bit comparisons.
+fn adam_bytes(opt: &Adam) -> Vec<u8> {
+    let mut w = FrozenWriter::new();
+    opt.add_state(&mut w);
+    w.to_bytes()
+}
+
+/// Whether `BootlegModel::load` refuses the file `bytes`; a refusal must
+/// leave the model's parameters bit-for-bit as they were.
+fn model_load_refuses(bytes: &[u8]) -> bool {
+    let file = TempFile::new(bytes);
+    let mut model = fresh_model();
+    let before = param_bytes(&model);
+    match model.load(file.path()) {
+        Ok(()) => false,
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "untyped failure: {e}");
+            assert!(param_bytes(&model) == before, "a failed load changed the model");
+            true
+        }
+    }
+}
+
 /// How a resume went with `newest` as the newest file of a checkpoint
 /// directory that also holds the older valid checkpoint.
 #[derive(Debug, PartialEq)]
@@ -172,10 +245,17 @@ impl Base {
     }
 
     /// Whether the semantic layer refuses `bytes`: an artifact fails to
-    /// thaw; a checkpoint is not resumed from (typed error or fallback).
+    /// thaw, from memory and from a file alike; a checkpoint is not resumed
+    /// from (typed error or fallback).
     fn refuses(self, bytes: Vec<u8>) -> bool {
         match self {
-            Base::Artifact => frozen::thaw_from_bytes(bytes).is_err(),
+            Base::Artifact => {
+                let file = TempFile::new(&bytes);
+                let from_file = frozen::thaw_from_path(file.path()).err();
+                let from_bytes = frozen::thaw_from_bytes(bytes).err();
+                assert_eq!(from_bytes, from_file, "memory and file thaws disagree");
+                from_bytes.is_some()
+            }
             Base::Checkpoint => resume_with_newest(bytes) != Resume::FromNewest,
         }
     }
@@ -183,7 +263,11 @@ impl Base {
     /// Runs the semantic layer, accepting any outcome but a panic.
     fn load_any(self, bytes: Vec<u8>) {
         match self {
-            Base::Artifact => drop(frozen::thaw_from_bytes(bytes)),
+            Base::Artifact => {
+                let file = TempFile::new(&bytes);
+                drop(frozen::thaw_from_path(file.path()));
+                drop(frozen::thaw_from_bytes(bytes));
+            }
             Base::Checkpoint => drop(resume_with_newest(bytes)),
         }
     }
@@ -242,7 +326,8 @@ proptest! {
             let bytes = base.bytes();
             let keep = ((bytes.len() - 1) as f64 * keep_frac) as usize;
             let cut = bytes[..keep].to_vec();
-            prop_assert!(FrozenReader::from_bytes(cut.clone()).is_err());
+            prop_assert!(container_refuses(&cut));
+            prop_assert!(model_load_refuses(&cut), "{base:?}");
             prop_assert!(base.refuses(cut), "{base:?}");
         }
     }
@@ -253,7 +338,8 @@ proptest! {
             let mut bytes = base.bytes().to_vec();
             let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
             bytes[pos] ^= 1 << bit;
-            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(container_refuses(&bytes));
+            prop_assert!(model_load_refuses(&bytes), "{base:?}");
             prop_assert!(base.refuses(bytes), "{base:?}");
         }
     }
@@ -272,7 +358,7 @@ proptest! {
             bytes[ea..ea + 8].copy_from_slice(&off_b.to_le_bytes());
             bytes[eb..eb + 8].copy_from_slice(&off_a.to_le_bytes());
             resign(&mut bytes);
-            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(container_refuses(&bytes));
             prop_assert!(base.refuses(bytes), "{base:?}");
         }
     }
@@ -288,7 +374,7 @@ proptest! {
             let inflated = entry_u64(&bytes, e).saturating_add(extra);
             bytes[e..e + 8].copy_from_slice(&inflated.to_le_bytes());
             resign(&mut bytes);
-            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(container_refuses(&bytes));
             prop_assert!(base.refuses(bytes), "{base:?}");
         }
     }
@@ -304,7 +390,7 @@ proptest! {
             let id_a: [u8; 8] = bytes[entry(a)..entry(a) + 8].try_into().expect("8-byte id");
             bytes[entry(b)..entry(b) + 8].copy_from_slice(&id_a);
             resign(&mut bytes);
-            prop_assert!(FrozenReader::from_bytes(bytes.clone()).is_err());
+            prop_assert!(container_refuses(&bytes));
             prop_assert!(base.refuses(bytes), "{base:?}");
         }
     }
@@ -327,7 +413,7 @@ proptest! {
             let pos = payload_start + ((span - 1) as f64 * pos_frac) as usize;
             bytes[pos] ^= flip;
             resign(&mut bytes);
-            if FrozenReader::from_bytes(bytes.clone()).is_ok() {
+            if !container_refuses(&bytes) {
                 base.load_any(bytes);
             }
         }
@@ -338,8 +424,99 @@ proptest! {
         garbage in proptest::collection::vec(0u8..=255, 0..512),
     ) {
         for base in BASES {
-            prop_assert!(FrozenReader::from_bytes(garbage.clone()).is_err());
+            prop_assert!(container_refuses(&garbage));
             prop_assert!(base.refuses(garbage.clone()), "{base:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The file changes after open: the reader holds no payload, so each section
+// read goes back to the file and must notice.
+// ---------------------------------------------------------------------------
+
+/// Overwrites `file` in place (same inode, so an open reader sees it):
+/// `mask == 0` cuts it to `at` bytes, otherwise byte `at` of `bytes` is
+/// written back flipped by `mask`.
+fn change_in_place(file: &TempFile, bytes: &[u8], at: usize, mask: u8) {
+    let mut f =
+        std::fs::OpenOptions::new().write(true).open(file.path()).expect("reopen scratch file");
+    if mask == 0 {
+        f.set_len(at as u64).expect("truncate");
+    } else {
+        f.seek(SeekFrom::Start(at as u64)).expect("seek");
+        f.write_all(&[bytes[at] ^ mask]).expect("flip");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn file_changed_after_open_yields_typed_error(
+        section_raw in 0usize..64,
+        pos_frac in 0.0f64..1.0,
+        truncate in 0u8..2,
+        flip in 1u8..=255,
+    ) {
+        for base in BASES {
+            let bytes = base.bytes();
+            let file = TempFile::new(bytes);
+            let reader = FrozenReader::load(file.path()).expect("valid base opens");
+            let filled: Vec<_> = reader.sections().iter().filter(|s| s.len > 0).collect();
+            let hit = filled[section_raw % filled.len()];
+            let at = hit.off + ((hit.len - 1) as f64 * pos_frac) as usize;
+            let mask = if truncate == 1 { 0 } else { flip };
+            change_in_place(&file, bytes, at, mask);
+            // Whether section `id` now reads differently from what was opened.
+            let changed = |id: &str| {
+                let s = reader.section(id).expect("listed section");
+                if mask == 0 { s.len > 0 && s.off + s.len > at } else { s.id == hit.id }
+            };
+
+            for s in reader.sections() {
+                match reader.require(&s.id) {
+                    Ok(payload) => {
+                        prop_assert!(!changed(&s.id), "{base:?}: {} change went unseen", s.id);
+                        prop_assert!(payload == bytes[s.off..s.off + s.len]);
+                    }
+                    Err(e) => {
+                        prop_assert!(changed(&s.id), "{base:?}: {} failed: {e}", s.id);
+                        prop_assert!(
+                            matches!(
+                                e,
+                                FrozenError::Truncated { .. } | FrozenError::ChecksumMismatch { .. }
+                            ),
+                            "{e:?}"
+                        );
+                    }
+                }
+            }
+
+            match base {
+                // A thaw reads every section of an artifact.
+                Base::Artifact => prop_assert!(frozen::thaw(&reader).is_err()),
+                // `BootlegModel::load` is `restore_params` on a freshly opened
+                // reader. A fresh model and optimizer differ from the
+                // checkpoint, so an unchanged state is a real check.
+                Base::Checkpoint => {
+                    let mut model = fresh_model();
+                    let mut opt = Adam::new(&model.params, 0.1);
+                    let (params_before, adam_before) = (param_bytes(&model), adam_bytes(&opt));
+                    let params = restore_params(&reader, &mut model.params);
+                    let params_read = [SECTION_PARAM_MANIFEST, SECTION_PARAM_F32];
+                    prop_assert_eq!(params.is_err(), params_read.iter().any(|id| changed(id)));
+                    if params.is_err() {
+                        prop_assert!(param_bytes(&model) == params_before, "params changed");
+                    }
+                    let adam = opt.restore_state(&reader);
+                    let adam_read = [SECTION_ADAM_STEP, SECTION_ADAM_M, SECTION_ADAM_V];
+                    prop_assert_eq!(adam.is_err(), adam_read.iter().any(|id| changed(id)));
+                    if adam.is_err() {
+                        prop_assert!(adam_bytes(&opt) == adam_before, "optimizer changed");
+                    }
+                }
+            }
         }
     }
 }
@@ -355,8 +532,7 @@ fn with_section(base: &[u8], id: &str, payload: Option<Vec<u8>>) -> Vec<u8> {
     let reader = FrozenReader::from_bytes(base.to_vec()).expect("valid base");
     let mut w = FrozenWriter::new();
     for s in reader.sections() {
-        let body =
-            if s.id == id { payload.clone() } else { reader.section(&s.id).map(<[u8]>::to_vec) };
+        let body = if s.id == id { payload.clone() } else { reader.require(&s.id).ok() };
         if let Some(body) = body {
             w.add(&s.id, body);
         }
@@ -376,7 +552,7 @@ struct ManifestEntry {
 fn manifest_of(base: &[u8]) -> Vec<ManifestEntry> {
     let reader = FrozenReader::from_bytes(base.to_vec()).expect("valid base");
     let payload = reader.require(SECTION_PARAM_MANIFEST).expect("manifest");
-    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, payload);
+    let mut c = Cursor::new(SECTION_PARAM_MANIFEST, &payload);
     let n = c.count(1 << 12).expect("count");
     (0..n)
         .map(|_| ManifestEntry {
@@ -439,8 +615,9 @@ fn resigned_hostile_param_manifests_yield_typed_errors() {
         }
         let short = {
             let reader = FrozenReader::from_bytes(base.bytes().to_vec()).expect("valid base");
-            let raw = reader.require(SECTION_PARAM_F32).expect("values");
-            raw[..raw.len() - 4].to_vec()
+            let mut raw = reader.require(SECTION_PARAM_F32).expect("values");
+            raw.truncate(raw.len() - 4);
+            raw
         };
         let bytes = with_section(base.bytes(), SECTION_PARAM_F32, Some(short));
         assert!(base.refuses(bytes), "{base:?}: short value blob was accepted");
@@ -451,7 +628,7 @@ fn resigned_hostile_param_manifests_yield_typed_errors() {
 fn resigned_hostile_checkpoint_sections_yield_typed_errors() {
     let base = newest_checkpoint();
     let reader = FrozenReader::from_bytes(base.to_vec()).expect("valid base");
-    let moments = reader.require(SECTION_ADAM_M).expect("moments").to_vec();
+    let moments = reader.require(SECTION_ADAM_M).expect("moments");
     let inflated = [moments.clone(), vec![0; 64]].concat();
     let attacks: Vec<(&str, &str, Option<Vec<u8>>)> = vec![
         (SECTION_ADAM_M, "moments inflated by 64 bytes", Some(inflated)),
