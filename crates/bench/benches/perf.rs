@@ -21,7 +21,7 @@ use bootleg_kb::{generate as gen_kb, KbConfig};
 use bootleg_nn::optim::Adam;
 use bootleg_nn::MhaBlock;
 use bootleg_pool::{with_pool, ThreadPool};
-use bootleg_tensor::{arena, init, kernels, Graph, ParamStore};
+use bootleg_tensor::{init, kernels, Graph, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -240,78 +240,6 @@ fn bench_kernel_gflops(results: &mut Results) {
     assert!(
         ratio >= 1.5,
         "tiled a_bt kernel is {ratio:.2}x naive GFLOPs, below the 1.5x acceptance floor"
-    );
-}
-
-/// Tensor-buffer allocations per evaluated sentence, arena on vs off,
-/// counted via `arena.miss` (every miss is one fresh heap allocation; hits
-/// reuse pooled buffers). After a warm-up pass fills the free-lists the
-/// arena must cut steady-state eval-loop allocations at least 10x, with
-/// bit-identical slice metrics in both modes.
-fn bench_allocs(results: &mut Results) {
-    let smoke = smoke_mode();
-    let (n_entities, n_pages) = if smoke { (600usize, 120usize) } else { (2_000, 600) };
-    let wb = Workbench::build(
-        KbConfig { n_entities, seed: 41, ..KbConfig::default() },
-        CorpusConfig { n_pages, seed: 42, ..CorpusConfig::default() },
-        true,
-    );
-    let model =
-        BootlegModel::new(&wb.kb, &wb.corpus.vocab, &wb.counts, BootlegConfig::default());
-    let predict = BootlegPredictor::new(&model, &wb.kb);
-    let dev = &wb.corpus.dev;
-    let sentences = dev.len().max(1) as f64;
-    let misses = || bootleg_obs::metrics::counter("arena.miss").value();
-
-    bootleg_obs::set_metrics_enabled(true);
-    let pool = ThreadPool::new(1);
-    let (report_on, on_misses, report_off, off_misses) = with_pool(&pool, || {
-        arena::set_enabled(true);
-        // Warm-up pass populates the free-lists (and the pool worker's).
-        black_box(evaluate_slices(dev, &wb.counts, predict));
-        let snap = |name: &str| bootleg_obs::metrics::counter(name).value();
-        let (m0, h0, d0) = (snap("arena.miss"), snap("arena.hit"), snap("arena.drop"));
-        let before = misses();
-        let report_on = evaluate_slices(dev, &wb.counts, predict);
-        let on_misses = misses() - before;
-        if std::env::var("BOOTLEG_ARENA_DEBUG").is_ok() {
-            println!(
-                "arena debug: take {} hit {} miss {} drop {} held {} bytes",
-                (snap("arena.hit") - h0) + (snap("arena.miss") - m0),
-                snap("arena.hit") - h0,
-                on_misses,
-                snap("arena.drop") - d0,
-                arena::thread_held_bytes()
-            );
-        }
-
-        arena::set_enabled(false);
-        let before = misses();
-        let report_off = evaluate_slices(dev, &wb.counts, predict);
-        let off_misses = misses() - before;
-        arena::set_enabled(true);
-        (report_on, on_misses, report_off, off_misses)
-    });
-    assert_eq!(
-        report_on, report_off,
-        "arena must not change evaluation metrics (bit-identical on/off)"
-    );
-
-    let per_on = on_misses as f64 / sentences;
-    let per_off = off_misses as f64 / sentences;
-    // A fully warmed arena can hit 0 misses; clamp the denominator to one
-    // allocation so the reported ratio stays finite ("at least Nx").
-    let reduction = off_misses as f64 / on_misses.max(1) as f64;
-    println!(
-        "arena/allocs_per_sentence: on {per_on:.2}, off {per_off:.2} ({reduction:.0}x fewer, {} sentences)",
-        dev.len()
-    );
-    results.set("allocs_per_sentence_arena_on", per_on);
-    results.set("allocs_per_sentence_arena_off", per_off);
-    results.set("arena_alloc_reduction", reduction);
-    assert!(
-        reduction >= 10.0,
-        "arena cut eval-loop allocations only {reduction:.1}x, below the 10x acceptance floor"
     );
 }
 
@@ -579,10 +507,6 @@ fn bench_entity_cache(results: &mut Results) {
         speedup >= floor,
         "warm entity cache is {speedup:.2}x the uncached embed phase, below the {floor}x floor"
     );
-    // This workload leaves serving-scale (R = 50) buffers in the thread's
-    // free lists; drop them so they don't crowd the byte cap and distort
-    // the alloc accounting of the benches that follow.
-    arena::clear_thread();
 }
 
 /// Serve-ready cold start: thawing the frozen serving artifact vs. the
@@ -675,7 +599,6 @@ fn bench_cold_start(results: &mut Results) {
         speedup >= 2.0,
         "frozen cold start is {speedup:.2}x the generate+parse startup, below the 2x floor"
     );
-    arena::clear_thread();
 }
 
 /// Observability overhead on the instrumented hot path (PR acceptance:
@@ -787,7 +710,6 @@ fn main() {
         bench_data_pipeline();
     }
     bench_kernel_gflops(&mut results);
-    bench_allocs(&mut results);
     bench_parallel_kernels(&mut results);
     bench_parallel_eval(&mut results);
     results.write().expect("write results/perf.json");

@@ -43,7 +43,7 @@ use crate::model::BootlegModel;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use bootleg_tensor::{arena, Graph, Tensor};
+use bootleg_tensor::{Graph, Tensor};
 
 /// Fill policy for the entity-payload cache
 /// (`BOOTLEG_ENTITY_CACHE=full|off`).
@@ -135,16 +135,13 @@ struct PartsBuf {
 
 impl PartsBuf {
     fn new(layout: PayloadLayout, n: usize) -> Self {
-        // Arena-recycled: these become graph leaves, and the tape returns
-        // every node buffer to the arena when the graph drops, so the
-        // steady-state serving path allocates nothing here.
         Self {
             layout,
             n,
-            entity: arena::take_zeroed(n * layout.entity.1),
-            types: arena::take_zeroed(n * layout.types.1),
-            rels: arena::take_zeroed(n * layout.rels.1),
-            titles: arena::take_zeroed(n * layout.titles.1),
+            entity: vec![0.0; n * layout.entity.1],
+            types: vec![0.0; n * layout.types.1],
+            rels: vec![0.0; n * layout.rels.1],
+            titles: vec![0.0; n * layout.titles.1],
         }
     }
 
@@ -293,16 +290,12 @@ fn build_payload_rows(model: &BootlegModel, layout: PayloadLayout, ids: &[u32], 
             out[i * w + off..i * w + off + ew].copy_from_slice(table.row(e as usize));
         }
     }
-    // One throwaway inference tape per build batch; its buffers recycle
-    // through the arena like any forward pass.
+    // One throwaway inference tape per build batch.
     let g = Graph::new();
     let mut scatter = |var: bootleg_tensor::Var, (off, sw): (usize, usize)| {
-        let mut tmp = arena::take_zeroed(ids.len() * sw);
-        var.copy_value_into(&mut tmp);
-        for (i, row) in tmp.chunks_exact(sw).enumerate() {
+        for (i, row) in var.value().data().chunks_exact(sw).enumerate() {
             out[i * w + off..i * w + off + sw].copy_from_slice(row);
         }
-        arena::release(tmp);
     };
     if layout.types.1 > 0 {
         let v = model.pool_bags_batched(

@@ -42,7 +42,7 @@ use crate::example::Example;
 use crate::model::BootlegModel;
 use bootleg_kb::{EntityId, KnowledgeBase};
 use bootleg_nn::posenc;
-use bootleg_tensor::{arena, Graph, Tensor, Var};
+use bootleg_tensor::{Graph, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -312,7 +312,7 @@ impl BootlegModel {
 
             let mut kg_mats: Vec<Tensor> = Vec::new();
             if cfg.use_kg() {
-                let mut k = arena::take_zeroed(s_i * s_i);
+                let mut k = vec![0.0; s_i * s_i];
                 // Connectivity is symmetric, so probe each unordered pair
                 // once and write both cells.
                 for i in 0..s_i {
@@ -329,7 +329,7 @@ impl BootlegModel {
                 }
                 kg_mats.push(Tensor::new([s_i, s_i], k));
                 if cfg.cooccur_kg {
-                    let mut k2 = arena::take_zeroed(s_i * s_i);
+                    let mut k2 = vec![0.0; s_i * s_i];
                     if let Some(cx) = &self.cooccur {
                         for i in 0..s_i {
                             for j in 0..s_i {
@@ -345,7 +345,7 @@ impl BootlegModel {
                     kg_mats.push(Tensor::new([s_i, s_i], k2));
                 }
                 if cfg.kg_two_hop {
-                    let mut k3 = arena::take_zeroed(s_i * s_i);
+                    let mut k3 = vec![0.0; s_i * s_i];
                     for i in 0..s_i {
                         for j in 0..s_i {
                             if mention_of[i] != mention_of[j]
@@ -423,7 +423,7 @@ impl BootlegModel {
                     if training && !matches!(cfg.regularization, crate::RegScheme::None) {
                         // 2-D regularization: zero the whole embedding with p(e).
                         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-                        let mut mask = arena::take(s_total * cfg.entity_dim);
+                        let mut mask = vec![0.0; s_total * cfg.entity_dim];
                         for (mrow, &e) in mask.chunks_exact_mut(cfg.entity_dim).zip(&global_cands) {
                             let keep = rng.gen::<f32>() >= self.reg_p[e as usize];
                             mrow.fill(if keep { 1.0 } else { 0.0 });
@@ -525,7 +525,7 @@ impl BootlegModel {
         if cfg.position_encoding {
             let table = self.word_encoder.pos_table();
             let d = cfg.word_encoder.d_model;
-            let mut enc = arena::take(s_total * 2 * d);
+            let mut enc = vec![0.0; s_total * 2 * d];
             {
                 let mut erows = enc.chunks_exact_mut(2 * d);
                 for l in &included {

@@ -288,8 +288,7 @@ impl BootlegModel {
     }
 
     /// Writes `rₑ` into `out` (length `rel_dim`) without allocating the
-    /// result: intermediate tensor buffers come from the arena, so a warm
-    /// call allocates nothing (asserted by `tests/pooled_arena.rs`).
+    /// result; only the throwaway tape's intermediate buffers are allocated.
     pub fn pooled_relation_embedding_into(&self, e: EntityId, out: &mut [f32]) {
         assert_eq!(out.len(), self.config.rel_dim, "out must have rel_dim elements");
         if !self.config.use_kg() {
@@ -312,7 +311,7 @@ impl BootlegModel {
     }
 
     /// Writes `tₑ` into `out` (length `type_dim`) without allocating the
-    /// result — the arena-backed counterpart of
+    /// result — the caller-buffer counterpart of
     /// [`Self::pooled_type_embedding`].
     pub fn pooled_type_embedding_into(&self, e: EntityId, out: &mut [f32]) {
         assert_eq!(out.len(), self.config.type_dim, "out must have type_dim elements");

@@ -2,7 +2,7 @@
 
 use crate::linear::Linear;
 use crate::norm::LayerNorm;
-use bootleg_tensor::{arena, Graph, ParamStore, Tensor, Var};
+use bootleg_tensor::{Graph, ParamStore, Tensor, Var};
 use rand::Rng;
 
 /// The paper's "standard multi-headed attention with a feed-forward layer and
@@ -199,7 +199,7 @@ impl AddAttn {
         let d_in = bag.shape()[1];
         assert_eq!(bag.shape()[0], c * t_max, "bag must have C·t_max rows");
         let scores = self.score.forward(g, ps, &self.proj.forward(g, ps, bag).tanh_()); // (C·t_max, 1)
-        let mut mask = arena::take_zeroed(c * t_max);
+        let mut mask = vec![0.0; c * t_max];
         for (mrow, &len) in mask.chunks_exact_mut(t_max).zip(lens) {
             debug_assert!(len >= 1 && len <= t_max, "bag length {len} outside 1..={t_max}");
             for m in &mut mrow[len..] {

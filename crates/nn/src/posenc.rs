@@ -37,7 +37,7 @@ pub fn mention_span_encoding(table: &Tensor, first: usize, last: usize) -> Vec<f
 }
 
 /// Writes a mention's span encoding into a caller-provided `(2d,)` slice, so
-/// batch loops can fill one arena buffer instead of allocating per mention.
+/// batch loops can fill one buffer instead of allocating per mention.
 pub fn write_mention_span_encoding(table: &Tensor, first: usize, last: usize, out: &mut [f32]) {
     let max_len = table.shape()[0];
     let d = table.shape()[1];

@@ -86,8 +86,10 @@ struct JobDesc {
     n_chunks: usize,
 }
 
-// The raw task pointer is only dereferenced while the owning call is blocked
-// waiting for completion, and only by threads registered in `active`.
+// SAFETY: the raw task pointer is only dereferenced while the owning call is
+// blocked waiting for completion, and only by threads registered in `active`;
+// the closure behind it is `Sync`, so sharing it across threads is sound. The
+// other fields are plain `usize`s.
 unsafe impl Send for JobDesc {}
 
 struct State {
@@ -177,6 +179,10 @@ impl ThreadPool {
         // Erase the closure's lifetime: the completion protocol below keeps
         // the borrow alive for as long as any thread can dereference it.
         let f_ref: &(dyn Fn(usize, usize) + Sync) = &f;
+        // SAFETY: only the lifetime changes (same fat-pointer layout). This
+        // call does not return, nor unwind past `f`, until every chunk has
+        // completed and no worker is left in the claim loop, so no thread
+        // dereferences `task` after `f` is dropped.
         let task: *const (dyn Fn(usize, usize) + Sync) =
             unsafe { std::mem::transmute(f_ref) };
         let job = JobDesc { task, n, chunk: grain, n_chunks };
@@ -296,6 +302,8 @@ fn run_chunks(shared: &Shared, job: &JobDesc) -> usize {
         gauge!("pool.queue_depth").set(job.n_chunks.saturating_sub(c + 1) as f64);
         let lo = c * job.chunk;
         let hi = (lo + job.chunk).min(job.n);
+        // SAFETY: claim `c` is an unfinished chunk, which keeps the
+        // publisher blocked in `parallel_for` with its closure alive.
         let f = unsafe { &*job.task };
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(lo, hi))) {
             // Keep the first payload; later panics of the same job are
@@ -316,8 +324,13 @@ fn run_chunks(shared: &Shared, job: &JobDesc) -> usize {
 /// Access goes through [`SendPtr::get`] so closures capture the `Sync`
 /// wrapper rather than the raw field (2021 disjoint capture).
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the pointer is only used to write disjoint elements (`map`) or to
+// form disjoint sub-slices (`parallel_chunks_mut`) of a buffer the caller
+// keeps borrowed until every chunk has finished. Other threads write and
+// drop `T` values through it, hence `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: concurrent users never touch the same element.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     fn get(&self) -> *mut T {
@@ -339,7 +352,9 @@ impl ThreadPool {
         self.parallel_for(items.len(), 1, |lo, hi| {
             for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
                 let r = f(item);
-                // Disjoint index ranges per chunk: no two writers alias.
+                // SAFETY: `i < items.len() == out.len()`, and chunk index
+                // ranges are disjoint, so no two writers alias; `out` outlives
+                // the `parallel_for` call.
                 unsafe { *out_ptr.get().add(i) = Some(r) };
             }
         });
@@ -366,6 +381,9 @@ impl ThreadPool {
             for ci in lo..hi {
                 let start = ci * chunk_len;
                 let len = chunk_len.min(total - start);
+                // SAFETY: `start + len <= total`, so the range lies inside
+                // `data`; chunk `ci` is visited once, so the sub-slices are
+                // disjoint; `data` stays mutably borrowed for the call.
                 let chunk =
                     unsafe { std::slice::from_raw_parts_mut(base.get().add(start), len) };
                 f(ci, chunk);
@@ -411,7 +429,7 @@ pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
 /// global pool.
 fn current<R>(f: impl FnOnce(&ThreadPool) -> R) -> R {
     match POOL_OVERRIDE.with(Cell::get) {
-        // Safety: `with_pool` keeps the override strictly within the
+        // SAFETY: `with_pool` keeps the override strictly within the
         // borrow's scope and restores it on unwind.
         Some(p) => f(unsafe { p.as_ref() }),
         None => f(global()),

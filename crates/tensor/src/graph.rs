@@ -5,7 +5,6 @@
 //! op constructors live in [`crate::ops`] (as `impl` blocks on [`Graph`] and
 //! [`Var`]); this module owns the node storage and all backward rules.
 
-use crate::arena;
 use crate::kernels;
 use crate::param::{ParamId, ParamStore};
 use crate::shape::{self, Shape};
@@ -80,24 +79,6 @@ pub(crate) struct Inner {
     pub nodes: Vec<Node>,
     pub training: bool,
     pub rng: StdRng,
-}
-
-impl Drop for Inner {
-    /// Returns every node buffer (values, grads, dropout masks) to the
-    /// [`arena`], so the next graph built on this thread — the next sentence
-    /// of a train or eval loop — allocates nothing for tensors of shapes
-    /// already seen.
-    fn drop(&mut self) {
-        for node in self.nodes.drain(..) {
-            arena::release_tensor(node.value);
-            if let Some(g) = node.grad {
-                arena::release_tensor(g);
-            }
-            if let Op::Dropout { mask, .. } = node.op {
-                arena::release(mask);
-            }
-        }
-    }
 }
 
 /// An autograd tape. Cheap to clone (shared handle).
@@ -226,25 +207,21 @@ impl Var {
     }
 }
 
-/// Adds `src` into `nodes[id].grad`, drawing a fresh buffer from the arena
-/// if the node has none yet.
+/// Adds `src` into `nodes[id].grad`, cloning it if the node has none yet.
 fn accum(nodes: &mut [Node], id: usize, src: &Tensor) {
     let node = &mut nodes[id];
     match &mut node.grad {
         Some(g) => g.add_assign(src),
-        None => node.grad = Some(arena::clone_tensor(src)),
+        None => node.grad = Some(src.clone()),
     }
 }
 
 /// Like [`accum`] but consumes `src`: installs it directly as the grad when
-/// none exists, otherwise adds and releases its buffer back to the arena.
+/// none exists, otherwise adds it and drops it.
 fn accum_owned(nodes: &mut [Node], id: usize, src: Tensor) {
     let node = &mut nodes[id];
     match &mut node.grad {
-        Some(g) => {
-            g.add_assign(&src);
-            arena::release_tensor(src);
-        }
+        Some(g) => g.add_assign(&src),
         None => node.grad = Some(src),
     }
 }
@@ -252,7 +229,7 @@ fn accum_owned(nodes: &mut [Node], id: usize, src: Tensor) {
 fn accum_into(nodes: &mut [Node], id: usize, f: impl FnOnce(&mut Tensor)) {
     let node = &mut nodes[id];
     if node.grad.is_none() {
-        node.grad = Some(arena::zeros_tensor(&node.value.dims()));
+        node.grad = Some(Tensor::zeros(node.value.shape()));
     }
     f(node.grad.as_mut().expect("just set"));
 }
@@ -296,13 +273,13 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::Mul(a, b) => {
             let (a, b) = (*a, *b);
-            let bv = arena::temp_clone(&nodes[b].value);
+            let bv = nodes[b].value.clone();
             accum_into(nodes, a, |g| {
                 for ((gv, &d), &x) in g.data_mut().iter_mut().zip(dy.data()).zip(bv.data()) {
                     *gv += d * x;
                 }
             });
-            let av = arena::temp_clone(&nodes[a].value);
+            let av = nodes[a].value.clone();
             accum_into(nodes, b, |g| {
                 for ((gv, &d), &x) in g.data_mut().iter_mut().zip(dy.data()).zip(av.data()) {
                     *gv += d * x;
@@ -337,8 +314,8 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::MatMul(a, b) => {
             let (a, b) = (*a, *b);
-            let av = arena::temp_clone(&nodes[a].value);
-            let bv = arena::temp_clone(&nodes[b].value);
+            let av = nodes[a].value.clone();
+            let bv = nodes[b].value.clone();
             let (m, k) = shape::rows_cols(av.shape());
             let n = bv.shape()[1];
             // dA = dY Bᵀ
@@ -352,8 +329,8 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::BatchMatMul(a, b) => {
             let (a, b) = (*a, *b);
-            let av = arena::temp_clone(&nodes[a].value);
-            let bv = arena::temp_clone(&nodes[b].value);
+            let av = nodes[a].value.clone();
+            let bv = nodes[b].value.clone();
             let (bb, m, k, n) = shape::batch_matmul_dims(av.shape(), bv.shape());
             accum_into(nodes, a, |g| {
                 for t in 0..bb {
@@ -389,21 +366,17 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             // dy has shape (b, a, c) where x was (a, b, c); swap back.
             let ys = dy.shape();
             let (b, a, c) = (ys[0], ys[1], ys[2]);
-            let mut out = arena::take(a * b * c);
-            for i in 0..b {
-                for j in 0..a {
-                    let src = &dy.data()[(i * a + j) * c..(i * a + j + 1) * c];
-                    let dst = &mut out[(j * b + i) * c..(j * b + i + 1) * c];
-                    dst.copy_from_slice(src);
+            let mut out = Vec::with_capacity(a * b * c);
+            for j in 0..a {
+                for i in 0..b {
+                    out.extend_from_slice(&dy.data()[(i * a + j) * c..(i * a + j + 1) * c]);
                 }
             }
             accum_owned(nodes, *x, Tensor::new([a, b, c], out));
         }
         Op::Reshape(x) => {
             let xs = nodes[*x].value.dims();
-            let mut buf = arena::take(dy.numel());
-            buf.copy_from_slice(dy.data());
-            accum_owned(nodes, *x, Tensor::new(xs, buf));
+            accum_owned(nodes, *x, Tensor::new(xs, dy.data().to_vec()));
         }
         Op::ConcatLast(parts) => {
             let widths: Vec<usize> =
@@ -450,7 +423,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::Relu(x) => {
-            let xv = arena::temp_clone(&nodes[*x].value);
+            let xv = nodes[*x].value.clone();
             accum_into(nodes, *x, |g| {
                 for ((gv, &d), &x0) in g.data_mut().iter_mut().zip(dy.data()).zip(xv.data()) {
                     if x0 > 0.0 {
@@ -460,7 +433,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::Gelu(x) => {
-            let xv = arena::temp_clone(&nodes[*x].value);
+            let xv = nodes[*x].value.clone();
             accum_into(nodes, *x, |g| {
                 for ((gv, &d), &x0) in g.data_mut().iter_mut().zip(dy.data()).zip(xv.data()) {
                     *gv += d * kernels::gelu_deriv(x0);
@@ -468,7 +441,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::Tanh(x) => {
-            let yv = arena::temp_clone(&nodes[id].value);
+            let yv = nodes[id].value.clone();
             accum_into(nodes, *x, |g| {
                 for ((gv, &d), &y0) in g.data_mut().iter_mut().zip(dy.data()).zip(yv.data()) {
                     *gv += d * (1.0 - y0 * y0);
@@ -476,7 +449,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::Sigmoid(x) => {
-            let yv = arena::temp_clone(&nodes[id].value);
+            let yv = nodes[id].value.clone();
             accum_into(nodes, *x, |g| {
                 for ((gv, &d), &y0) in g.data_mut().iter_mut().zip(dy.data()).zip(yv.data()) {
                     *gv += d * y0 * (1.0 - y0);
@@ -484,7 +457,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::SoftmaxLast(x) => {
-            let yv = arena::temp_clone(&nodes[id].value);
+            let yv = nodes[id].value.clone();
             let (rows, cols) = shape::rows_cols(yv.shape());
             accum_into(nodes, *x, |g| {
                 kernels::softmax_rows_backward(yv.data(), dy.data(), g.data_mut(), rows, cols);
@@ -492,7 +465,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::LogSoftmaxLast(x) => {
             // y = x - lse(x); dx = dy - softmax(x) * sum(dy) per row
-            let yv = arena::temp_clone(&nodes[id].value);
+            let yv = nodes[id].value.clone();
             let (rows, cols) = shape::rows_cols(yv.shape());
             accum_into(nodes, *x, |g| {
                 for r in 0..rows {
@@ -553,8 +526,8 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::Maximum(a, b) => {
             let (a, b) = (*a, *b);
-            let av = arena::temp_clone(&nodes[a].value);
-            let bv = arena::temp_clone(&nodes[b].value);
+            let av = nodes[a].value.clone();
+            let bv = nodes[b].value.clone();
             accum_into(nodes, a, |g| {
                 for (i, gv) in g.data_mut().iter_mut().enumerate() {
                     if av.data()[i] >= bv.data()[i] {
@@ -578,15 +551,15 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::LayerNorm { x, gamma, beta, eps } => {
-            let xv = arena::temp_clone(&nodes[*x].value);
-            let gv = arena::temp_clone(&nodes[*gamma].value);
+            let xv = nodes[*x].value.clone();
+            let gv = nodes[*gamma].value.clone();
             let (rows, cols) = shape::rows_cols(xv.shape());
             let cn = cols as f32;
             // dbeta / dgamma accumulate across rows (zeroed); dx is fully
             // written per row.
-            let mut dgamma = arena::take_zeroed(cols);
-            let mut dbeta = arena::take_zeroed(cols);
-            let mut dx_full = arena::take(rows * cols);
+            let mut dgamma = vec![0.0; cols];
+            let mut dbeta = vec![0.0; cols];
+            let mut dx_full = vec![0.0; rows * cols];
             for r in 0..rows {
                 let xr = &xv.data()[r * cols..(r + 1) * cols];
                 let dyr = &dy.data()[r * cols..(r + 1) * cols];
@@ -619,10 +592,10 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             accum_owned(nodes, *beta, Tensor::new([cols], dbeta));
         }
         Op::CrossEntropyRows { logits, targets } => {
-            let lv = arena::temp_clone(&nodes[*logits].value);
+            let lv = nodes[*logits].value.clone();
             let (rows, cols) = shape::rows_cols(lv.shape());
             let d = dy.item() / rows as f32;
-            let mut sm = arena::take(rows * cols);
+            let mut sm = vec![0.0; rows * cols];
             kernels::softmax_rows(lv.data(), &mut sm, rows, cols);
             accum_into(nodes, *logits, |g| {
                 for r in 0..rows {
@@ -634,16 +607,13 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
                     gr[targets[r] as usize] -= d;
                 }
             });
-            arena::release(sm);
         }
     }
     nodes[id].op = op;
 }
 
-/// Materialized transpose of the last two axes, written through the arena
-/// (every element is assigned, so the recycled buffer needs no zeroing). The
-/// caller owns the returned buffer and is expected to hand it to
-/// [`accum_owned`], which releases it back once accumulated.
+/// Materialized transpose of the last two axes. The caller owns the returned
+/// buffer and is expected to hand it to [`accum_owned`].
 fn transpose_last2_data(t: &Tensor) -> Vec<f32> {
     let s = t.shape();
     let (b, m, n) = match s.len() {
@@ -651,7 +621,7 @@ fn transpose_last2_data(t: &Tensor) -> Vec<f32> {
         3 => (s[0], s[1], s[2]),
         _ => panic!("transpose rank {s:?}"),
     };
-    let mut out = arena::take(t.numel());
+    let mut out = vec![0.0; t.numel()];
     for t0 in 0..b {
         for i in 0..m {
             for j in 0..n {

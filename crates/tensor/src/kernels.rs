@@ -10,7 +10,7 @@
 //! they are stored back once — so the innermost loop touches no `c` memory
 //! and reuses each loaded `b` row across `MR` output rows. The transposed
 //! backward matmuls additionally pack their strided operand into a
-//! contiguous arena-backed panel (`AᵀB` packs `MR` columns of `a`, `A·Bᵀ`
+//! contiguous panel buffer (`AᵀB` packs `MR` columns of `a`, `A·Bᵀ`
 //! packs [`BT_NR`] rows of `b` column-interleaved) so the inner loops stream
 //! unit-stride. The seed's i-k-j loops are kept as `matmul_*_naive`
 //! references for the equivalence tests and benchmarks. The largest win is
@@ -189,7 +189,9 @@ pub fn matmul_acc_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
 pub fn matmul_acc_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if n >= 8 && avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+        assert!(b.len() >= k * n && c.len() >= m * n, "matmul operand shorter than its shape");
+        // SAFETY: AVX2 support was verified at runtime; the lengths were
+        // checked just above.
         unsafe { matmul_acc_tiled_avx2(a, b, c, m, k, n) };
         return;
     }
@@ -285,80 +287,91 @@ fn avx2_available() -> bool {
 /// portable tile, row tails (< [`MR`] rows) run vectorized at reduced height
 /// rather than falling back to the scalar loop, which matters for the skinny
 /// per-example matrices of the sequential forward path.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `b.len() >= k * n`, `c.len() >= m * n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_acc_tiled_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    use core::arch::x86_64::*;
-    let mut i = 0;
-    while i < m {
-        let mr = MR.min(m - i);
-        let panel = &a[i * k..(i + mr) * k];
-        if panel.contains(&0.0) {
-            matmul_acc_naive(panel, b, &mut c[i * n..(i + mr) * n], mr, k, n);
-            i += mr;
-            continue;
-        }
-        let mut j = 0;
-        while j + 24 <= n {
-            let mut acc = [[_mm256_setzero_ps(); 3]; MR];
-            for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                let row = c.as_ptr().add((i + r) * n + j);
-                accr[0] = _mm256_loadu_ps(row);
-                accr[1] = _mm256_loadu_ps(row.add(8));
-                accr[2] = _mm256_loadu_ps(row.add(16));
+    // SAFETY: the caller guarantees AVX2 and the `b` / `c` lengths (see
+    // `# Safety`). The unchecked `a` reads stay inside `panel`, whose
+    // slicing is bounds-checked. Every `b` / `c` vector access starts at
+    // column `j` of a row `p < k` / `i + r < m` and spans at most the 24
+    // columns the loop condition (`j + 24 <= n`, `j + 8 <= n`) admits.
+    unsafe {
+        use core::arch::x86_64::*;
+        let mut i = 0;
+        while i < m {
+            let mr = MR.min(m - i);
+            let panel = &a[i * k..(i + mr) * k];
+            if panel.contains(&0.0) {
+                matmul_acc_naive(panel, b, &mut c[i * n..(i + mr) * n], mr, k, n);
+                i += mr;
+                continue;
             }
-            for p in 0..k {
-                let bp = b.as_ptr().add(p * n + j);
-                let b0 = _mm256_loadu_ps(bp);
-                let b1 = _mm256_loadu_ps(bp.add(8));
-                let b2 = _mm256_loadu_ps(bp.add(16));
+            let mut j = 0;
+            while j + 24 <= n {
+                let mut acc = [[_mm256_setzero_ps(); 3]; MR];
                 for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                    accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
-                    accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
-                    accr[2] = _mm256_add_ps(accr[2], _mm256_mul_ps(av, b2));
+                    let row = c.as_ptr().add((i + r) * n + j);
+                    accr[0] = _mm256_loadu_ps(row);
+                    accr[1] = _mm256_loadu_ps(row.add(8));
+                    accr[2] = _mm256_loadu_ps(row.add(16));
                 }
+                for p in 0..k {
+                    let bp = b.as_ptr().add(p * n + j);
+                    let b0 = _mm256_loadu_ps(bp);
+                    let b1 = _mm256_loadu_ps(bp.add(8));
+                    let b2 = _mm256_loadu_ps(bp.add(16));
+                    for (r, accr) in acc.iter_mut().take(mr).enumerate() {
+                        let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
+                        accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
+                        accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
+                        accr[2] = _mm256_add_ps(accr[2], _mm256_mul_ps(av, b2));
+                    }
+                }
+                for (r, accr) in acc.iter().take(mr).enumerate() {
+                    let row = c.as_mut_ptr().add((i + r) * n + j);
+                    _mm256_storeu_ps(row, accr[0]);
+                    _mm256_storeu_ps(row.add(8), accr[1]);
+                    _mm256_storeu_ps(row.add(16), accr[2]);
+                }
+                j += 24;
             }
-            for (r, accr) in acc.iter().take(mr).enumerate() {
-                let row = c.as_mut_ptr().add((i + r) * n + j);
-                _mm256_storeu_ps(row, accr[0]);
-                _mm256_storeu_ps(row.add(8), accr[1]);
-                _mm256_storeu_ps(row.add(16), accr[2]);
-            }
-            j += 24;
-        }
-        while j + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                *accr = _mm256_loadu_ps(c.as_ptr().add((i + r) * n + j));
-            }
-            for p in 0..k {
-                let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
+            while j + 8 <= n {
+                let mut acc = [_mm256_setzero_ps(); MR];
                 for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                    *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
+                    *accr = _mm256_loadu_ps(c.as_ptr().add((i + r) * n + j));
                 }
+                for p in 0..k {
+                    let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
+                    for (r, accr) in acc.iter_mut().take(mr).enumerate() {
+                        let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
+                        *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
+                    }
+                }
+                for (r, accr) in acc.iter().take(mr).enumerate() {
+                    _mm256_storeu_ps(c.as_mut_ptr().add((i + r) * n + j), *accr);
+                }
+                j += 8;
             }
-            for (r, accr) in acc.iter().take(mr).enumerate() {
-                _mm256_storeu_ps(c.as_mut_ptr().add((i + r) * n + j), *accr);
-            }
-            j += 8;
-        }
-        if j < n {
-            // Scalar column tail (< 8 columns); p stays outermost so every
-            // element accumulates in ascending-k order like the naive loop.
-            for p in 0..k {
-                for r in 0..mr {
-                    let av = a[(i + r) * k + p];
-                    let row = (i + r) * n;
-                    let brow = &b[p * n + j..(p + 1) * n];
-                    for (cv, &bv) in c[row + j..row + n].iter_mut().zip(brow.iter()) {
-                        *cv += av * bv;
+            if j < n {
+                // Scalar column tail (< 8 columns); p stays outermost so every
+                // element accumulates in ascending-k order like the naive loop.
+                for p in 0..k {
+                    for r in 0..mr {
+                        let av = a[(i + r) * k + p];
+                        let row = (i + r) * n;
+                        let brow = &b[p * n + j..(p + 1) * n];
+                        for (cv, &bv) in c[row + j..row + n].iter_mut().zip(brow.iter()) {
+                            *cv += av * bv;
+                        }
                     }
                 }
             }
+            i += mr;
         }
-        i += mr;
     }
 }
 
@@ -439,7 +452,7 @@ pub fn matmul_at_b_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize
 ///
 /// The operand `aᵀ` is column-strided in memory (element `(p, i)` lives at
 /// `a[i*k + p]`), so the panel first packs the `MR` active `a` columns into a
-/// contiguous arena-backed buffer (`packed[i*MR + r]`); the k-loop then
+/// contiguous buffer (`packed[i*MR + r]`); the k-loop then
 /// streams unit-stride through both operands. Serves both the serial path
 /// (`p0 == 0`, whole output) and the pool's row-chunk closures, which is what
 /// keeps the chunked result bit-identical to the serial one: per element the
@@ -457,7 +470,7 @@ pub fn matmul_at_b_panel(
     debug_assert_eq!(cpanel.len() % n.max(1), 0);
     let prows = cpanel.len() / n.max(1);
     debug_assert!(p0 + prows <= k);
-    let mut packed = crate::arena::take(m * MR);
+    let mut packed = vec![0.0; m * MR];
     let mut r = 0;
     while r < prows {
         let mr = MR.min(prows - r);
@@ -544,7 +557,6 @@ pub fn matmul_at_b_panel(
         }
         r += mr;
     }
-    crate::arena::release(packed);
 }
 
 /// `c += a (m×k) * bᵀ (n×k, stored n×k)`; result is m×n.
@@ -592,7 +604,7 @@ pub const BT_NR: usize = 8;
 /// k-ascending adds with a loop-carried dependency that cannot vectorize
 /// without reassociating. The tile keeps [`MR`]×[`BT_NR`] independent
 /// accumulator chains in registers instead, and first packs the [`BT_NR`]
-/// active `b` rows column-interleaved into an arena-backed panel
+/// active `b` rows column-interleaved into a panel buffer
 /// (`packed[p*BT_NR + q] = b[(j+q)*k + p]`, cost `1/(2m)` of the block's
 /// flops) so the k-loop loads one contiguous `BT_NR`-wide slice per step
 /// rather than `BT_NR` strided scalars. Each chain is still a strictly
@@ -600,7 +612,7 @@ pub const BT_NR: usize = 8;
 /// and is added to `c` once at the end, exactly like the naive `*cv += s`.
 /// (The naive loop has no zero-skip here, so neither does the tile.)
 pub fn matmul_a_bt_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut packed = crate::arena::take(k * BT_NR);
+    let mut packed = vec![0.0; k * BT_NR];
     let mut j = 0;
     while j + BT_NR <= n {
         for p in 0..k {
@@ -643,7 +655,6 @@ pub fn matmul_a_bt_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize
         }
         j += BT_NR;
     }
-    crate::arena::release(packed);
     // Column tail (< BT_NR b rows): naive dots straight from `b`.
     if j < n {
         for i in 0..m {
@@ -731,9 +742,11 @@ fn softmax_rows_serial(x: &[f32], out: &mut [f32], rows: usize, cols: usize) {
 /// zeroes those lanes explicitly rather than letting the range clamp turn
 /// them into `2^-126`-scale noise.
 fn exp_shifted(x: &[f32], out: &mut [f32], mx: f32) {
+    assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+        // SAFETY: AVX2 support was verified at runtime; the lengths were
+        // checked just above.
         unsafe { exp_shifted_avx2(x, out, mx) };
         return;
     }
@@ -766,46 +779,55 @@ fn exp_shifted_poly(v: f32, mx: f32) -> f32 {
 }
 
 /// 8-lane shifted exp; see [`exp_shifted`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `out.len() == x.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn exp_shifted_avx2(x: &[f32], out: &mut [f32], mx: f32) {
-    use core::arch::x86_64::*;
-    use expc::*;
-    let one = _mm256_set1_ps(1.0);
-    let mxv = _mm256_set1_ps(mx);
-    let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
-    let n = x.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
-        let ex0 = _mm256_sub_ps(v, mxv);
-        let masked = _mm256_cmp_ps::<{ _CMP_EQ_OQ }>(ex0, ninf);
-        let ex = _mm256_max_ps(ex0, _mm256_set1_ps(MIN_X));
-        let nf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-            _mm256_mul_ps(ex, _mm256_set1_ps(LOG2E)),
-        );
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(ex, _mm256_mul_ps(nf, _mm256_set1_ps(LN2_HI))),
-            _mm256_mul_ps(nf, _mm256_set1_ps(LN2_LO)),
-        );
-        let z = _mm256_mul_ps(r, r);
-        let mut y = _mm256_set1_ps(P0);
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
-        y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), one);
-        let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            _mm256_cvtps_epi32(nf),
-            _mm256_set1_epi32(127),
-        )));
-        let e = _mm256_andnot_ps(masked, _mm256_mul_ps(y, pow2));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), e);
-        i += 8;
-    }
-    for (o, &v) in out[i..].iter_mut().zip(x[i..].iter()) {
-        *o = exp_shifted_poly(v, mx);
+    // SAFETY: the caller guarantees AVX2 and `out.len() == x.len()` (see
+    // `# Safety`); each vector load/store covers `i..i + 8` with
+    // `i + 8 <= x.len()`.
+    unsafe {
+        use core::arch::x86_64::*;
+        use expc::*;
+        let one = _mm256_set1_ps(1.0);
+        let mxv = _mm256_set1_ps(mx);
+        let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
+        let n = x.len();
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_loadu_ps(x.as_ptr().add(i));
+            let ex0 = _mm256_sub_ps(v, mxv);
+            let masked = _mm256_cmp_ps::<{ _CMP_EQ_OQ }>(ex0, ninf);
+            let ex = _mm256_max_ps(ex0, _mm256_set1_ps(MIN_X));
+            let nf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+                _mm256_mul_ps(ex, _mm256_set1_ps(LOG2E)),
+            );
+            let r = _mm256_sub_ps(
+                _mm256_sub_ps(ex, _mm256_mul_ps(nf, _mm256_set1_ps(LN2_HI))),
+                _mm256_mul_ps(nf, _mm256_set1_ps(LN2_LO)),
+            );
+            let z = _mm256_mul_ps(r, r);
+            let mut y = _mm256_set1_ps(P0);
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
+            y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), one);
+            let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+                _mm256_cvtps_epi32(nf),
+                _mm256_set1_epi32(127),
+            )));
+            let e = _mm256_andnot_ps(masked, _mm256_mul_ps(y, pow2));
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), e);
+            i += 8;
+        }
+        for (o, &v) in out[i..].iter_mut().zip(x[i..].iter()) {
+            *o = exp_shifted_poly(v, mx);
+        }
     }
 }
 
@@ -910,10 +932,11 @@ pub fn gelu(x: f32) -> f32 {
 /// shifts an element's offset (and thus body-vs-tail placement), but never
 /// its value.
 pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
+    assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+        // SAFETY: AVX2 support was verified at runtime; the lengths were
+        // checked just above.
         unsafe { gelu_slice_avx2(x, out) };
         return;
     }
@@ -973,58 +996,67 @@ fn gelu_poly(x: f32) -> f32 {
 /// 8-lane AVX2 GELU; see [`gelu_slice`] for the math and the parity
 /// argument. Lanes are independent — no horizontal operations — so lane
 /// placement cannot affect a value's result.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `out.len() == x.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gelu_slice_avx2(x: &[f32], out: &mut [f32]) {
-    use core::arch::x86_64::*;
-    use expc::*;
-    let half = _mm256_set1_ps(0.5);
-    let one = _mm256_set1_ps(1.0);
-    let signbit = _mm256_set1_ps(-0.0);
-    let n = x.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
-        let x3 = _mm256_mul_ps(_mm256_mul_ps(v, v), v);
-        let inner = _mm256_mul_ps(
-            _mm256_set1_ps(GELU_C),
-            _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(GELU_K), x3)),
-        );
-        let sign = _mm256_and_ps(inner, signbit);
-        let ex = _mm256_max_ps(
-            _mm256_mul_ps(_mm256_andnot_ps(signbit, inner), _mm256_set1_ps(-2.0)),
-            _mm256_set1_ps(MIN_X),
-        );
-        let nf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-            _mm256_mul_ps(ex, _mm256_set1_ps(LOG2E)),
-        );
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(ex, _mm256_mul_ps(nf, _mm256_set1_ps(LN2_HI))),
-            _mm256_mul_ps(nf, _mm256_set1_ps(LN2_LO)),
-        );
-        let z = _mm256_mul_ps(r, r);
-        let mut y = _mm256_set1_ps(P0);
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
-        y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), one);
-        let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            _mm256_cvtps_epi32(nf),
-            _mm256_set1_epi32(127),
-        )));
-        let e = _mm256_mul_ps(y, pow2);
-        let t = _mm256_or_ps(
-            _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e)),
-            sign,
-        );
-        let g = _mm256_mul_ps(_mm256_mul_ps(half, v), _mm256_add_ps(one, t));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), g);
-        i += 8;
-    }
-    for (o, &v) in out[i..].iter_mut().zip(x[i..].iter()) {
-        *o = gelu_poly(v);
+    // SAFETY: the caller guarantees AVX2 and `out.len() == x.len()` (see
+    // `# Safety`); each vector load/store covers `i..i + 8` with
+    // `i + 8 <= x.len()`.
+    unsafe {
+        use core::arch::x86_64::*;
+        use expc::*;
+        let half = _mm256_set1_ps(0.5);
+        let one = _mm256_set1_ps(1.0);
+        let signbit = _mm256_set1_ps(-0.0);
+        let n = x.len();
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_loadu_ps(x.as_ptr().add(i));
+            let x3 = _mm256_mul_ps(_mm256_mul_ps(v, v), v);
+            let inner = _mm256_mul_ps(
+                _mm256_set1_ps(GELU_C),
+                _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(GELU_K), x3)),
+            );
+            let sign = _mm256_and_ps(inner, signbit);
+            let ex = _mm256_max_ps(
+                _mm256_mul_ps(_mm256_andnot_ps(signbit, inner), _mm256_set1_ps(-2.0)),
+                _mm256_set1_ps(MIN_X),
+            );
+            let nf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+                _mm256_mul_ps(ex, _mm256_set1_ps(LOG2E)),
+            );
+            let r = _mm256_sub_ps(
+                _mm256_sub_ps(ex, _mm256_mul_ps(nf, _mm256_set1_ps(LN2_HI))),
+                _mm256_mul_ps(nf, _mm256_set1_ps(LN2_LO)),
+            );
+            let z = _mm256_mul_ps(r, r);
+            let mut y = _mm256_set1_ps(P0);
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
+            y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), one);
+            let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+                _mm256_cvtps_epi32(nf),
+                _mm256_set1_epi32(127),
+            )));
+            let e = _mm256_mul_ps(y, pow2);
+            let t = _mm256_or_ps(
+                _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e)),
+                sign,
+            );
+            let g = _mm256_mul_ps(_mm256_mul_ps(half, v), _mm256_add_ps(one, t));
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), g);
+            i += 8;
+        }
+        for (o, &v) in out[i..].iter_mut().zip(x[i..].iter()) {
+            *o = gelu_poly(v);
+        }
     }
 }
 
@@ -1036,10 +1068,11 @@ unsafe fn gelu_slice_avx2(x: &[f32], out: &mut [f32]) {
 /// input value — see [`gelu_slice`] for why that is the invariant ragged
 /// batching needs.
 pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
+    assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+        // SAFETY: AVX2 support was verified at runtime; the lengths were
+        // checked just above.
         unsafe { tanh_slice_avx2(x, out) };
         return;
     }
@@ -1069,51 +1102,60 @@ fn tanh_poly(x: f32) -> f32 {
 }
 
 /// 8-lane AVX2 tanh; see [`tanh_slice`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `out.len() == x.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn tanh_slice_avx2(x: &[f32], out: &mut [f32]) {
-    use core::arch::x86_64::*;
-    use expc::*;
-    let one = _mm256_set1_ps(1.0);
-    let signbit = _mm256_set1_ps(-0.0);
-    let n = x.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
-        let sign = _mm256_and_ps(v, signbit);
-        let ex = _mm256_max_ps(
-            _mm256_mul_ps(_mm256_andnot_ps(signbit, v), _mm256_set1_ps(-2.0)),
-            _mm256_set1_ps(MIN_X),
-        );
-        let nf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-            _mm256_mul_ps(ex, _mm256_set1_ps(LOG2E)),
-        );
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(ex, _mm256_mul_ps(nf, _mm256_set1_ps(LN2_HI))),
-            _mm256_mul_ps(nf, _mm256_set1_ps(LN2_LO)),
-        );
-        let z = _mm256_mul_ps(r, r);
-        let mut y = _mm256_set1_ps(P0);
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
-        y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), one);
-        let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            _mm256_cvtps_epi32(nf),
-            _mm256_set1_epi32(127),
-        )));
-        let e = _mm256_mul_ps(y, pow2);
-        let t = _mm256_or_ps(
-            _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e)),
-            sign,
-        );
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), t);
-        i += 8;
-    }
-    for (o, &v) in out[i..].iter_mut().zip(x[i..].iter()) {
-        *o = tanh_poly(v);
+    // SAFETY: the caller guarantees AVX2 and `out.len() == x.len()` (see
+    // `# Safety`); each vector load/store covers `i..i + 8` with
+    // `i + 8 <= x.len()`.
+    unsafe {
+        use core::arch::x86_64::*;
+        use expc::*;
+        let one = _mm256_set1_ps(1.0);
+        let signbit = _mm256_set1_ps(-0.0);
+        let n = x.len();
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_loadu_ps(x.as_ptr().add(i));
+            let sign = _mm256_and_ps(v, signbit);
+            let ex = _mm256_max_ps(
+                _mm256_mul_ps(_mm256_andnot_ps(signbit, v), _mm256_set1_ps(-2.0)),
+                _mm256_set1_ps(MIN_X),
+            );
+            let nf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+                _mm256_mul_ps(ex, _mm256_set1_ps(LOG2E)),
+            );
+            let r = _mm256_sub_ps(
+                _mm256_sub_ps(ex, _mm256_mul_ps(nf, _mm256_set1_ps(LN2_HI))),
+                _mm256_mul_ps(nf, _mm256_set1_ps(LN2_LO)),
+            );
+            let z = _mm256_mul_ps(r, r);
+            let mut y = _mm256_set1_ps(P0);
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
+            y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), one);
+            let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+                _mm256_cvtps_epi32(nf),
+                _mm256_set1_epi32(127),
+            )));
+            let e = _mm256_mul_ps(y, pow2);
+            let t = _mm256_or_ps(
+                _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e)),
+                sign,
+            );
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), t);
+            i += 8;
+        }
+        for (o, &v) in out[i..].iter_mut().zip(x[i..].iter()) {
+            *o = tanh_poly(v);
+        }
     }
 }
 
@@ -1360,5 +1402,26 @@ mod tests {
         for (x, y) in c.iter().zip(expect.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    // The AVX2 paths write through raw pointers, so a too-short output must
+    // panic before they run, in release builds too.
+    #[test]
+    #[should_panic]
+    fn tiled_matmul_rejects_a_short_output() {
+        let mut c = vec![0.0; 15];
+        matmul_acc_tiled(&pseudo(2 * 3, 1), &pseudo(3 * 8, 2), &mut c, 2, 3, 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn gelu_slice_rejects_a_short_output() {
+        gelu_slice(&pseudo(16, 3), &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn tanh_slice_rejects_a_short_output() {
+        tanh_slice(&pseudo(16, 4), &mut [0.0; 8]);
     }
 }

@@ -20,7 +20,6 @@
 //! Gradient correctness for every differentiable op is checked against central
 //! finite differences in the test suite (see `gradcheck`).
 
-pub mod arena;
 pub mod checkpoint;
 pub mod frozen;
 pub mod gradcheck;

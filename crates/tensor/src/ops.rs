@@ -4,13 +4,11 @@
 //! tape; backward rules live in [`crate::graph`].
 //!
 //! Ops read their operands by borrowing the tape (no defensive clone of the
-//! input tensors) and draw their output buffers from the [`crate::arena`], so
-//! in steady state a forward pass performs no heap allocation for tensor
-//! data: buffers recycled from previously dropped graphs are reused. Sites
-//! that fully overwrite the output use `arena::take`; sites that accumulate
-//! into it (the matmul family, `mean_rows`) use `arena::take_zeroed`.
+//! input tensors) and allocate exactly one output buffer. Sites that produce
+//! the output elementwise build it by value (`collect`/`extend`); sites that
+//! fill it by index or accumulate into it (the matmul family, `mean_rows`)
+//! start from `vec![0.0; n]`.
 
-use crate::arena;
 use crate::graph::{Graph, Op, Var};
 use crate::kernels;
 use crate::param::{ParamId, ParamStore};
@@ -31,7 +29,7 @@ impl Graph {
 
     /// Brings a small dense parameter onto the tape by value.
     pub fn dense_param(&self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(arena::clone_tensor(&store.get(id).data), Op::DenseParam(id))
+        self.push(store.get(id).data.clone(), Op::DenseParam(id))
     }
 
     /// Gathers rows of an embedding table; backward scatter-adds into the
@@ -40,7 +38,7 @@ impl Graph {
         let table = &store.get(id).data;
         assert_eq!(table.rank(), 2, "gather_rows needs a 2-D table");
         let cols = table.shape()[1];
-        let mut out = arena::take(rows.len() * cols);
+        let mut out = vec![0.0; rows.len() * cols];
         kernels::gather_rows(table.data(), rows, &mut out, cols);
         self.push(
             Tensor::new([rows.len(), cols], out),
@@ -61,12 +59,10 @@ impl Graph {
                 assert_eq!(shape::rows_cols(t.shape()).0, rows, "concat_last leading-dim mismatch");
             }
             let total: usize = widths.iter().sum();
-            let mut out = arena::take(rows * total);
-            let mut pos = 0;
+            let mut out = Vec::with_capacity(rows * total);
             for r in 0..rows {
                 for (t, &w) in values.iter().zip(&widths) {
-                    out[pos..pos + w].copy_from_slice(&t.data()[r * w..(r + 1) * w]);
-                    pos += w;
+                    out.extend_from_slice(&t.data()[r * w..(r + 1) * w]);
                 }
             }
             Tensor::new(values[0].dims().with_last(total), out)
@@ -86,11 +82,9 @@ impl Graph {
                 assert_eq!(t.shape().last().copied().unwrap(), cols, "concat_rows width mismatch");
                 rows += t.numel() / cols;
             }
-            let mut out = arena::take(rows * cols);
-            let mut pos = 0;
+            let mut out = Vec::with_capacity(rows * cols);
             for t in &values {
-                out[pos..pos + t.numel()].copy_from_slice(t.data());
-                pos += t.numel();
+                out.extend_from_slice(t.data());
             }
             Tensor::new([rows, cols], out)
         };
@@ -105,10 +99,7 @@ macro_rules! unary_op {
             let out = {
                 let inner = self.graph.inner.borrow();
                 let x = &inner.nodes[self.id].value;
-                let mut data = arena::take(x.numel());
-                for (o, &v) in data.iter_mut().zip(x.data()) {
-                    *o = $f(v);
-                }
+                let data = x.data().iter().map(|&v| $f(v)).collect();
                 Tensor::new(x.dims(), data)
             };
             self.graph.push(out, Op::$variant(self.id))
@@ -125,10 +116,7 @@ impl Var {
             let a = &inner.nodes[self.id].value;
             let b = &inner.nodes[other.id].value;
             assert_eq!(a.shape(), b.shape(), "add shape mismatch");
-            let mut data = arena::take(a.numel());
-            for ((o, &x), &y) in data.iter_mut().zip(a.data()).zip(b.data()) {
-                *o = x + y;
-            }
+            let data = a.data().iter().zip(b.data()).map(|(&x, &y)| x + y).collect();
             Tensor::new(a.dims(), data)
         };
         self.graph.push(out, Op::Add(self.id, other.id))
@@ -142,10 +130,7 @@ impl Var {
             let a = &inner.nodes[self.id].value;
             let b = &inner.nodes[other.id].value;
             assert_eq!(a.shape(), b.shape(), "sub shape mismatch");
-            let mut data = arena::take(a.numel());
-            for ((o, &x), &y) in data.iter_mut().zip(a.data()).zip(b.data()) {
-                *o = x - y;
-            }
+            let data = a.data().iter().zip(b.data()).map(|(&x, &y)| x - y).collect();
             Tensor::new(a.dims(), data)
         };
         self.graph.push(out, Op::Sub(self.id, other.id))
@@ -159,10 +144,7 @@ impl Var {
             let a = &inner.nodes[self.id].value;
             let b = &inner.nodes[other.id].value;
             assert_eq!(a.shape(), b.shape(), "mul shape mismatch");
-            let mut data = arena::take(a.numel());
-            for ((o, &x), &y) in data.iter_mut().zip(a.data()).zip(b.data()) {
-                *o = x * y;
-            }
+            let data = a.data().iter().zip(b.data()).map(|(&x, &y)| x * y).collect();
             Tensor::new(a.dims(), data)
         };
         self.graph.push(out, Op::Mul(self.id, other.id))
@@ -177,10 +159,8 @@ impl Var {
             let b = &inner.nodes[bias.id].value;
             let n = b.numel();
             assert_eq!(x.shape().last().copied().unwrap_or(1), n, "bias width mismatch");
-            let mut data = arena::take(x.numel());
-            for (i, (o, &v)) in data.iter_mut().zip(x.data()).enumerate() {
-                *o = v + b.data()[i % n];
-            }
+            let data =
+                x.data().iter().enumerate().map(|(i, &v)| v + b.data()[i % n]).collect();
             Tensor::new(x.dims(), data)
         };
         self.graph.push(out, Op::AddBias { x: self.id, bias: bias.id })
@@ -191,10 +171,7 @@ impl Var {
         let out = {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
-            let mut data = arena::take(x.numel());
-            for (o, &v) in data.iter_mut().zip(x.data()) {
-                *o = v * c;
-            }
+            let data = x.data().iter().map(|&v| v * c).collect();
             Tensor::new(x.dims(), data)
         };
         self.graph.push(out, Op::Scale { x: self.id, c })
@@ -210,7 +187,7 @@ impl Var {
             let n = x.shape()[0];
             assert_eq!(x.shape()[1], n, "add_scaled_identity needs a square matrix");
             let wv = inner.nodes[w.id].value.item();
-            let mut out = arena::clone_tensor(x);
+            let mut out = x.clone();
             for i in 0..n {
                 out.data_mut()[i * n + i] += wv;
             }
@@ -236,7 +213,7 @@ impl Var {
                 b.shape()
             );
             let n = b.shape()[1];
-            let mut out = arena::take_zeroed(m * n);
+            let mut out = vec![0.0; m * n];
             kernels::matmul_acc(a.data(), b.data(), &mut out, m, k, n);
             Tensor::new(a.dims().with_last(n), out)
         };
@@ -253,7 +230,7 @@ impl Var {
             assert_eq!(a.rank(), 3);
             assert_eq!(b.rank(), 3);
             let (bb, m, k, n) = shape::batch_matmul_dims(a.shape(), b.shape());
-            let mut out = arena::take_zeroed(bb * m * n);
+            let mut out = vec![0.0; bb * m * n];
             kernels::batch_matmul_acc(a.data(), b.data(), &mut out, bb, m, k, n);
             Tensor::new([bb, m, n], out)
         };
@@ -271,7 +248,7 @@ impl Var {
                 3 => (s[0], s[1], s[2]),
                 _ => panic!("transpose_last2 rank {s:?}"),
             };
-            let mut out = arena::take(x.numel());
+            let mut out = vec![0.0; x.numel()];
             for t in 0..b {
                 for i in 0..m {
                     for j in 0..n {
@@ -292,12 +269,10 @@ impl Var {
             let s = x.shape();
             assert_eq!(s.len(), 3, "swap_axes01 needs rank 3");
             let (a, b, c) = (s[0], s[1], s[2]);
-            let mut out = arena::take(x.numel());
-            for i in 0..a {
-                for j in 0..b {
-                    let src = &x.data()[(i * b + j) * c..(i * b + j + 1) * c];
-                    let dst = &mut out[(j * a + i) * c..(j * a + i + 1) * c];
-                    dst.copy_from_slice(src);
+            let mut out = Vec::with_capacity(x.numel());
+            for j in 0..b {
+                for i in 0..a {
+                    out.extend_from_slice(&x.data()[(i * b + j) * c..(i * b + j + 1) * c]);
                 }
             }
             Tensor::new([b, a, c], out)
@@ -311,9 +286,7 @@ impl Var {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
             assert_eq!(shape::numel(new_shape), x.numel(), "reshape to incompatible {new_shape:?}");
-            let mut data = arena::take(x.numel());
-            data.copy_from_slice(x.data());
-            Tensor::new(new_shape, data)
+            Tensor::new(new_shape, x.data().to_vec())
         };
         self.graph.push(out, Op::Reshape(self.id))
     }
@@ -325,9 +298,9 @@ impl Var {
             let x = &inner.nodes[self.id].value;
             assert_eq!(x.rank(), 2, "select_rows needs rank 2");
             let cols = x.shape()[1];
-            let mut out = arena::take(idx.len() * cols);
-            for (orow, &r) in out.chunks_exact_mut(cols).zip(idx) {
-                orow.copy_from_slice(x.row(r as usize));
+            let mut out = Vec::with_capacity(idx.len() * cols);
+            for &r in idx {
+                out.extend_from_slice(x.row(r as usize));
             }
             Tensor::new([idx.len(), cols], out)
         };
@@ -341,7 +314,7 @@ impl Var {
         let out = {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
-            let mut data = arena::take(x.numel());
+            let mut data = vec![0.0; x.numel()];
             kernels::gelu_slice(x.data(), &mut data);
             Tensor::new(x.dims(), data)
         };
@@ -352,7 +325,7 @@ impl Var {
         let out = {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
-            let mut data = arena::take(x.numel());
+            let mut data = vec![0.0; x.numel()];
             kernels::tanh_slice(x.data(), &mut data);
             Tensor::new(x.dims(), data)
         };
@@ -366,7 +339,7 @@ impl Var {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
             let (rows, cols) = shape::rows_cols(x.shape());
-            let mut out = arena::take(x.numel());
+            let mut out = vec![0.0; x.numel()];
             kernels::softmax_rows(x.data(), &mut out, rows, cols);
             Tensor::new(x.dims(), out)
         };
@@ -379,7 +352,7 @@ impl Var {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
             let (rows, cols) = shape::rows_cols(x.shape());
-            let mut out = arena::take(x.numel());
+            let mut out = vec![0.0; x.numel()];
             kernels::log_softmax_rows(x.data(), &mut out, rows, cols);
             Tensor::new(x.dims(), out)
         };
@@ -412,7 +385,7 @@ impl Var {
             let x = &inner.nodes[self.id].value;
             assert_eq!(x.rank(), 2, "mean_rows needs rank 2");
             let (m, n) = (x.shape()[0], x.shape()[1]);
-            let mut out = arena::take_zeroed(n);
+            let mut out = vec![0.0; n];
             for r in 0..m {
                 for (o, &v) in out.iter_mut().zip(x.row(r)) {
                     *o += v;
@@ -441,7 +414,7 @@ impl Var {
             let n = x.shape()[1];
             let total: usize = lens.iter().sum();
             assert_eq!(x.shape()[0], total, "mean_rows_segments: lens do not cover the rows");
-            let mut out = arena::take_zeroed(lens.len() * n);
+            let mut out = vec![0.0; lens.len() * n];
             let mut row = 0;
             for (c, &len) in lens.iter().enumerate() {
                 let orow = &mut out[c * n..(c + 1) * n];
@@ -466,10 +439,7 @@ impl Var {
             let a = &inner.nodes[self.id].value;
             let b = &inner.nodes[other.id].value;
             assert_eq!(a.shape(), b.shape(), "maximum shape mismatch");
-            let mut data = arena::take(a.numel());
-            for ((o, &x), &y) in data.iter_mut().zip(a.data()).zip(b.data()) {
-                *o = x.max(y);
-            }
+            let data = a.data().iter().zip(b.data()).map(|(&x, &y)| x.max(y)).collect();
             Tensor::new(a.dims(), data)
         };
         self.graph.push(out, Op::Maximum(self.id, other.id))
@@ -487,14 +457,10 @@ impl Var {
             let inner = &mut *inner;
             let x = &inner.nodes[self.id].value;
             let rng = &mut inner.rng;
-            let mut mask = arena::take(x.numel());
-            for mv in mask.iter_mut() {
-                *mv = if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 };
-            }
-            let mut data = arena::take(x.numel());
-            for ((o, &v), &mv) in data.iter_mut().zip(x.data()).zip(mask.iter()) {
-                *o = v * mv;
-            }
+            let mask: Vec<f32> = (0..x.numel())
+                .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
+                .collect();
+            let data = x.data().iter().zip(&mask).map(|(&v, &mv)| v * mv).collect();
             (Tensor::new(x.dims(), data), mask)
         };
         self.graph.push(out, Op::Dropout { x: self.id, mask })
@@ -512,7 +478,7 @@ impl Var {
             let (rows, cols) = shape::rows_cols(x.shape());
             assert_eq!(g.numel(), cols);
             assert_eq!(b.numel(), cols);
-            let mut out = arena::take(x.numel());
+            let mut out = vec![0.0; x.numel()];
             kernels::layer_norm_rows(x.data(), g.data(), b.data(), &mut out, rows, cols, eps);
             Tensor::new(x.dims(), out)
         };
@@ -529,14 +495,13 @@ impl Var {
             let x = &inner.nodes[self.id].value;
             let (rows, cols) = shape::rows_cols(x.shape());
             assert_eq!(rows, targets.len(), "one target per logit row");
-            let mut ls = arena::take(rows * cols);
+            let mut ls = vec![0.0; rows * cols];
             kernels::log_softmax_rows(x.data(), &mut ls, rows, cols);
             let mut loss = 0.0;
             for (r, &t) in targets.iter().enumerate() {
                 assert!((t as usize) < cols, "target {t} out of range {cols}");
                 loss -= ls[r * cols + t as usize];
             }
-            arena::release(ls);
             loss / rows as f32
         };
         self.graph.push(

@@ -44,7 +44,7 @@ impl Param {
     }
 }
 
-/// Arena of all trainable parameters of a model.
+/// Store of all trainable parameters of a model.
 #[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     params: Vec<Param>,

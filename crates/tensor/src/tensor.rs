@@ -8,8 +8,7 @@ use std::fmt;
 /// `Tensor` is a pure value: cloning copies the buffer, and no gradient state
 /// is attached. Autograd is layered on top by [`crate::Graph`]. The shape is
 /// stored inline ([`Shape`]), so constructing a tensor costs exactly one heap
-/// allocation (the data buffer) — or zero when the buffer comes from the
-/// [`crate::arena`].
+/// allocation (the data buffer).
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,

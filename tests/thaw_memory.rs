@@ -1,16 +1,23 @@
-//! Thaw memory regression: thawing an artifact must not hold the file in
-//! memory next to the model it builds.
+//! Memory regressions of the serving path, measured on the live heap.
 //!
-//! A counting global allocator tracks the live heap. Thawing the golden
-//! fixture may peak above the heap the finished bundle keeps only by
-//! transients (one read chunk, the small sections, scratch tables of model
-//! construction), which must stay under half the artifact's size. A thaw
-//! that reads the whole file into a buffer before copying it out peaks at
-//! least a whole artifact above what it keeps.
+//! A counting global allocator tracks the live heap. Two phases:
+//!
+//! 1. **Thaw.** Thawing the golden fixture may peak above the heap the
+//!    finished bundle keeps only by transients (one read chunk, the small
+//!    sections, scratch tables of model construction), which must stay under
+//!    half the artifact's size. A thaw that reads the whole file into a
+//!    buffer before copying it out peaks at least a whole artifact above
+//!    what it keeps.
+//! 2. **Retention.** Once the thawed model has served one request, every
+//!    further `run` call must hand back all the heap it took: the tape's
+//!    buffers are freed when its graph drops, and nothing keeps them for
+//!    later requests. The golden dev sentences have varied lengths, so they
+//!    produce tensor shapes the warm-up never saw; a buffer cache keyed by
+//!    shape would grow on each new one.
 //!
 //! The allocator is process-wide, so this file holds exactly one test.
 
-use bootleg::core::frozen;
+use bootleg::core::{frozen, Example, ForwardOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -74,6 +81,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Heap a `run` call may leave behind for good: one-time lazy state (a
+/// metrics handle, a pool queue slot) on a code path the warm-up missed.
+const RETAIN_SLACK: usize = 16 << 10;
+
 #[test]
 fn thaw_peak_heap_stays_under_half_the_artifact() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden.btfz");
@@ -92,4 +103,25 @@ fn thaw_peak_heap_stays_under_half_the_artifact() {
         "thaw peaked {transient} B above the heap it keeps; the bound is half the \
          {artifact_bytes} B artifact"
     );
+
+    let (_, corpus, live) = frozen::golden_inputs();
+    drop(live);
+    let dev: Vec<Example> = corpus.dev.iter().filter_map(Example::evaluation).collect();
+    drop(corpus);
+    assert!(dev.len() > 8, "golden corpus must supply more than one batch of dev sentences");
+    let (model, kb) = (&bundle.model, &bundle.kb);
+    let opts = ForwardOptions::inference();
+    drop(model.run(kb, &dev[..1], opts).expect("no deadline"));
+    let settled = LIVE.load(Ordering::SeqCst);
+    for batch in [1, 8] {
+        for (i, chunk) in dev.chunks(batch).enumerate() {
+            drop(model.run(kb, chunk, opts).expect("no deadline"));
+            let live = LIVE.load(Ordering::SeqCst);
+            assert!(
+                live <= settled + RETAIN_SLACK,
+                "batch {batch} call {i} left {} B more live heap than after the warm-up",
+                live - settled
+            );
+        }
+    }
 }
