@@ -13,7 +13,7 @@
 //! (`bootleg_core::frozen::golden_inputs`) checked in under
 //! `tests/data/golden.btfz`.
 
-use bootleg_core::{frozen, BootlegConfig, BootlegModel, CachePolicy};
+use bootleg_core::{frozen, BootlegConfig, BootlegModel};
 use bootleg_corpus::CorpusConfig;
 use bootleg_eval::{BootlegPredictor, Predictor};
 use bootleg_kb::KbConfig;
@@ -89,13 +89,9 @@ fn main() -> ExitCode {
             &CorpusConfig { n_pages: 120, seed: 72, ..CorpusConfig::default() },
         );
         let counts = bootleg_corpus::stats::entity_counts(&corpus.train, true);
-        let mut m =
+        model =
             BootlegModel::new(&kb, &corpus.vocab, &counts, BootlegConfig::default().serving());
-        // Export with the plane regardless of this process's cache env: the
-        // loading process's policy decides whether to install it.
-        m.set_entity_cache_policy(CachePolicy::Full);
         vocab = corpus.vocab;
-        model = m;
     }
 
     let start = std::time::Instant::now();

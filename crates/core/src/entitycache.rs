@@ -1,13 +1,15 @@
 //! Precomputed entity-payload plane: static candidate representations,
 //! cached and served (PR 8).
 //!
-//! Bootleg's serving insight (CIDR 2021 §4) is that each entity's signal
-//! payload — its embedding row, the additive-attention pools over its type
-//! and relation bags, and its title mean vector — depends only on the
-//! *weights*, never on the mention. [`EntityReprCache`] materializes those
-//! payloads once per entity into contiguous rows so the inference `embed`
-//! phase collapses to plain row copies; the mention-dependent parts
-//! (coarse-type prediction, position encoding) stay live.
+//! Bootleg's serving insight (CIDR 2021 §4) is that each entity's pooled
+//! signals — the additive-attention pools over its type and relation bags,
+//! and its title mean vector — depend only on the *weights*, never on the
+//! mention. [`EntityReprCache`] materializes those payloads once per entity
+//! into contiguous rows so the inference `embed` phase collapses to plain
+//! row copies; the mention-dependent parts (coarse-type prediction,
+//! position encoding) stay live. The entity embedding itself is not in the
+//! plane: it already is a row of `embedding.entity`, and every pass gathers
+//! it from there.
 //!
 //! # Bit-identity
 //!
@@ -32,11 +34,11 @@
 //!
 //! # Policies
 //!
-//! `BOOTLEG_ENTITY_CACHE` selects the fill policy at model construction:
-//! `full` (default) eagerly materializes every entity in parallel over
-//! entity shards via `bootleg-pool` on first use (or at `serve` warmup);
-//! `off` disables caching entirely (the kill switch, and the oracle the
-//! bit-identity tests compare against).
+//! Models are built under [`CachePolicy::Full`]: every entity is
+//! materialized in parallel over entity shards via `bootleg-pool` on first
+//! use (or at `serve` warmup). [`CachePolicy::Off`] recomputes payloads per
+//! request; it is the oracle the bit-identity tests and the cache bench
+//! compare against, set with [`BootlegModel::set_entity_cache_policy`].
 
 use crate::config::BootlegConfig;
 use crate::model::BootlegModel;
@@ -45,8 +47,7 @@ use std::time::Instant;
 
 use bootleg_tensor::{Graph, Tensor};
 
-/// Fill policy for the entity-payload cache
-/// (`BOOTLEG_ENTITY_CACHE=full|off`).
+/// Fill policy for the entity-payload cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CachePolicy {
     /// No caching: every request recomputes its payloads.
@@ -57,39 +58,11 @@ pub enum CachePolicy {
     Full,
 }
 
-impl CachePolicy {
-    /// Reads `BOOTLEG_ENTITY_CACHE`; unset or unparsable values fall back
-    /// to [`CachePolicy::Full`].
-    pub fn from_env() -> Self {
-        Self::from_setting(std::env::var("BOOTLEG_ENTITY_CACHE").ok().as_deref())
-    }
-
-    fn from_setting(value: Option<&str>) -> Self {
-        match value {
-            Some(v) => Self::parse(v).unwrap_or_else(|| {
-                bootleg_obs::warn!("entitycache.bad_env", value = v);
-                CachePolicy::Full
-            }),
-            None => CachePolicy::Full,
-        }
-    }
-
-    /// Parses `full` or `off` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(CachePolicy::Off),
-            "full" | "1" | "on" => Some(CachePolicy::Full),
-            _ => None,
-        }
-    }
-}
-
 /// Byte offsets of each signal inside a payload row, derived from the
 /// config's enabled signals. A `(offset, width)` of width 0 means the
 /// signal is ablated away.
 #[derive(Clone, Copy, Debug)]
 struct PayloadLayout {
-    entity: (usize, usize),
     types: (usize, usize),
     rels: (usize, usize),
     titles: (usize, usize),
@@ -105,18 +78,16 @@ impl PayloadLayout {
             off += w;
             s
         };
-        let entity = seg(if cfg.use_entity() { cfg.entity_dim } else { 0 });
         let types = seg(if cfg.use_types() { cfg.type_dim } else { 0 });
         let rels = seg(if cfg.use_kg() { cfg.rel_dim } else { 0 });
         let titles = seg(if cfg.title_feature { cfg.word_encoder.d_model } else { 0 });
-        Self { entity, types, rels, titles, width: off }
+        Self { types, rels, titles, width: off }
     }
 }
 
 /// Per-signal `(S, width)` matrices for one request's candidate rows, ready
 /// to enter the tape as leaves. Fields are `None` for ablated signals.
 pub(crate) struct CachedParts {
-    pub entity: Option<Tensor>,
     pub types: Option<Tensor>,
     pub rels: Option<Tensor>,
     pub titles: Option<Tensor>,
@@ -127,7 +98,6 @@ pub(crate) struct CachedParts {
 struct PartsBuf {
     layout: PayloadLayout,
     n: usize,
-    entity: Vec<f32>,
     types: Vec<f32>,
     rels: Vec<f32>,
     titles: Vec<f32>,
@@ -138,7 +108,6 @@ impl PartsBuf {
         Self {
             layout,
             n,
-            entity: vec![0.0; n * layout.entity.1],
             types: vec![0.0; n * layout.types.1],
             rels: vec![0.0; n * layout.rels.1],
             titles: vec![0.0; n * layout.titles.1],
@@ -149,7 +118,6 @@ impl PartsBuf {
     fn set_row(&mut self, i: usize, row: &[f32]) {
         let l = self.layout;
         for ((off, w), buf) in [
-            (l.entity, &mut self.entity),
             (l.types, &mut self.types),
             (l.rels, &mut self.rels),
             (l.titles, &mut self.titles),
@@ -164,7 +132,6 @@ impl PartsBuf {
         let n = self.n;
         let tensor = |w: usize, v: Vec<f32>| (w > 0).then(|| Tensor::new([n, w], v));
         CachedParts {
-            entity: tensor(self.layout.entity.1, self.entity),
             types: tensor(self.layout.types.1, self.types),
             rels: tensor(self.layout.rels.1, self.rels),
             titles: tensor(self.layout.titles.1, self.titles),
@@ -283,13 +250,6 @@ impl EntityReprCache {
 fn build_payload_rows(model: &BootlegModel, layout: PayloadLayout, ids: &[u32], out: &mut [f32]) {
     let w = layout.width;
     debug_assert_eq!(out.len(), ids.len() * w);
-    if layout.entity.1 > 0 {
-        let table = &model.params.get(model.entity_emb).data;
-        let (off, ew) = layout.entity;
-        for (i, &e) in ids.iter().enumerate() {
-            out[i * w + off..i * w + off + ew].copy_from_slice(table.row(e as usize));
-        }
-    }
     // One throwaway inference tape per build batch.
     let g = Graph::new();
     let mut scatter = |var: bootleg_tensor::Var, (off, sw): (usize, usize)| {
@@ -341,8 +301,7 @@ impl BootlegModel {
 
     /// Materializes (if needed) and snapshots the full payload plane —
     /// `(width, rows)` — for the frozen serving artifact. `None` unless the
-    /// policy is `Full` and the model has static signals: `Off`
-    /// deployments rebuild payloads live and freeze nothing.
+    /// policy is `Full` and the model has static pooled signals.
     pub fn export_entity_plane(&self) -> Option<(usize, Vec<f32>)> {
         if !matches!(self.repr_cache.policy(), CachePolicy::Full) {
             return None;
@@ -355,56 +314,30 @@ impl BootlegModel {
         Some((plane.width, plane.rows.clone()))
     }
 
+    /// Floats per payload-plane row under this model's config; 0 when the
+    /// model has no static pooled signals (and so no plane).
+    pub(crate) fn entity_plane_width(&self) -> usize {
+        PayloadLayout::of(&self.config).width
+    }
+
     /// Installs a payload plane thawed from a frozen artifact, stamped at
     /// the *current* parameter version — callers must install it only after
-    /// the frozen weights (which the plane was built from) are restored.
-    /// Returns `false` (plane ignored) when the policy is not `Full` or the
-    /// shape doesn't match this model's payload layout.
-    pub fn install_entity_plane(&self, width: usize, rows: Vec<f32>) -> bool {
-        let layout = PayloadLayout::of(&self.config);
-        if !matches!(self.repr_cache.policy(), CachePolicy::Full)
-            || width == 0
-            || width != layout.width
-            || rows.len() != self.n_entities * width
-        {
-            return false;
-        }
+    /// the frozen weights (which the plane was built from) are restored, and
+    /// must have checked `rows` is `n_entities × entity_plane_width()`.
+    pub(crate) fn install_entity_plane(&self, rows: Vec<f32>) {
+        let width = self.entity_plane_width();
+        debug_assert!(width > 0 && rows.len() == self.n_entities * width);
         self.repr_cache.install_full(self.params.version(), width, rows);
-        true
     }
 
-    /// Replaces the cache policy (dropping any cached payloads). Mostly for
-    /// tests and benches; deployments set `BOOTLEG_ENTITY_CACHE` instead.
+    /// Replaces the cache policy (dropping any cached payloads): `Off` is
+    /// the uncached oracle for tests and benches.
     pub fn set_entity_cache_policy(&mut self, policy: CachePolicy) {
         self.repr_cache = EntityReprCache::new(policy);
-    }
-
-    /// The active cache policy.
-    pub fn entity_cache_policy(&self) -> &CachePolicy {
-        self.repr_cache.policy()
     }
 
     /// Bytes currently held by the entity-repr cache.
     pub fn entity_cache_bytes(&self) -> usize {
         self.repr_cache.bytes()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn policy_parses() {
-        assert_eq!(CachePolicy::parse("off"), Some(CachePolicy::Off));
-        assert_eq!(CachePolicy::parse("full"), Some(CachePolicy::Full));
-        assert_eq!(CachePolicy::parse("FULL"), Some(CachePolicy::Full));
-        assert_eq!(CachePolicy::parse("banana"), None);
-        // `lru:<n>` is not a policy: it takes the unparsable path, a warning
-        // and `full`.
-        assert_eq!(CachePolicy::parse("lru:1024"), None);
-        assert_eq!(CachePolicy::from_setting(Some("lru:1024")), CachePolicy::Full);
-        assert_eq!(CachePolicy::from_setting(None), CachePolicy::Full);
-        assert_eq!(CachePolicy::from_setting(Some("off")), CachePolicy::Off);
     }
 }

@@ -409,30 +409,26 @@ impl BootlegModel {
         };
 
         let mut parts: Vec<Var> = Vec::new();
-        // Static per-entity payloads (entity row, pooled type/rel bags, title
-        // mean) may come straight from the entity-repr cache; the
-        // mention-dependent parts (coarse type, position encoding) stay live.
-        // Gradient-bearing passes skip the cache: leaves carry no params.
+        // Static per-entity payloads (pooled type/rel bags, title mean) may
+        // come straight from the entity-repr cache; the entity row is always
+        // gathered from its table, and the mention-dependent parts (coarse
+        // type, position encoding) stay live. Gradient-bearing passes skip
+        // the cache: leaves carry no params.
         let mut cached =
             if training || build_loss { None } else { self.gather_cached_parts(&global_cands) };
         if cfg.use_entity() {
-            parts.push(match cached.as_mut().and_then(|c| c.entity.take()) {
-                Some(t) => g.leaf(t),
-                None => {
-                    let u = g.gather_rows(ps, self.entity_emb, &global_cands);
-                    if training && !matches!(cfg.regularization, crate::RegScheme::None) {
-                        // 2-D regularization: zero the whole embedding with p(e).
-                        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-                        let mut mask = vec![0.0; s_total * cfg.entity_dim];
-                        for (mrow, &e) in mask.chunks_exact_mut(cfg.entity_dim).zip(&global_cands) {
-                            let keep = rng.gen::<f32>() >= self.reg_p[e as usize];
-                            mrow.fill(if keep { 1.0 } else { 0.0 });
-                        }
-                        u.mul(&g.leaf(Tensor::new([s_total, cfg.entity_dim], mask)))
-                    } else {
-                        u
-                    }
+            let u = g.gather_rows(ps, self.entity_emb, &global_cands);
+            parts.push(if training && !matches!(cfg.regularization, crate::RegScheme::None) {
+                // 2-D regularization: zero the whole embedding with p(e).
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+                let mut mask = vec![0.0; s_total * cfg.entity_dim];
+                for (mrow, &e) in mask.chunks_exact_mut(cfg.entity_dim).zip(&global_cands) {
+                    let keep = rng.gen::<f32>() >= self.reg_p[e as usize];
+                    mrow.fill(if keep { 1.0 } else { 0.0 });
                 }
+                u.mul(&g.leaf(Tensor::new([s_total, cfg.entity_dim], mask)))
+            } else {
+                u
             });
         }
 

@@ -111,15 +111,12 @@ pub fn golden_inputs() -> (KnowledgeBase, bootleg_corpus::Corpus, BootlegModel) 
         &bootleg_corpus::CorpusConfig { n_pages: 48, seed: 2021, ..Default::default() },
     );
     let counts = bootleg_corpus::stats::entity_counts(&corpus.train, true);
-    let mut model = BootlegModel::new(
+    let model = BootlegModel::new(
         &kb,
         &corpus.vocab,
         &counts,
         BootlegConfig::default().serving(),
     );
-    // Pin the cache policy so the exported plane (and hence the fixture
-    // bytes) never depends on the generating process's environment.
-    model.set_entity_cache_policy(crate::entitycache::CachePolicy::Full);
     (kb, corpus, model)
 }
 
@@ -415,7 +412,8 @@ pub fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
 
     // The payload plane was built from the weights just restored, so it is
     // current *by construction*; install it under the post-restore version
-    // stamp. Non-`Full` cache policies ignore it (install returns false).
+    // stamp. Its shape is checked against the config's payload layout
+    // before a byte of it is read.
     if let (Some(_), Some(plane)) =
         (reader.section(SECTION_PLANE_META), reader.section(SECTION_PLANE_F32))
     {
@@ -424,8 +422,15 @@ pub fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
         let width = c.count(MAX_DIM)?;
         let n_rows = c.u64()?;
         c.finish()?;
+        let layout_width = model.entity_plane_width();
+        if width == 0 || width != layout_width {
+            return Err(schema(
+                SECTION_PLANE_META,
+                format!("plane width {width} does not match the payload layout's {layout_width}"),
+            ));
+        }
         let want = model.n_entities.checked_mul(width * 4);
-        if width == 0 || n_rows != model.n_entities as u64 || want != Some(plane.len) {
+        if n_rows != model.n_entities as u64 || want != Some(plane.len) {
             return Err(schema(
                 SECTION_PLANE_META,
                 format!(
@@ -434,7 +439,7 @@ pub fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
                 ),
             ));
         }
-        model.install_entity_plane(width, reader.f32_section(SECTION_PLANE_F32)?);
+        model.install_entity_plane(reader.f32_section(SECTION_PLANE_F32)?);
     }
 
     Ok(FrozenBundle { model, kb, vocab, counts })
@@ -506,16 +511,35 @@ mod tests {
 
     #[test]
     fn thawed_plane_is_installed_and_current() {
-        let (kb, vocab, mut model) = setup();
-        model.set_entity_cache_policy(crate::entitycache::CachePolicy::Full);
+        let (kb, vocab, model) = setup();
         model.warm_entity_cache();
         let cached_bytes = model.entity_cache_bytes();
         assert!(cached_bytes > 0);
         let bytes = freeze(&model, &kb, &vocab).unwrap();
         let bundle = thaw_from_bytes(bytes).unwrap();
-        if matches!(bundle.model.entity_cache_policy(), crate::entitycache::CachePolicy::Full) {
-            // Installed at thaw: bytes present without any warm call.
-            assert_eq!(bundle.model.entity_cache_bytes(), cached_bytes);
+        // Installed at thaw: bytes present without any warm call.
+        assert_eq!(bundle.model.entity_cache_bytes(), cached_bytes);
+    }
+
+    #[test]
+    fn plane_wider_than_the_layout_is_a_schema_error() {
+        // An artifact whose plane rows carry one extra `entity_dim` column
+        // (the layout of artifacts that still stored the entity row) must be
+        // refused, not read and silently dropped.
+        let (kb, vocab, mut model) = setup();
+        let width = model.entity_plane_width() + model.config.entity_dim;
+        model.set_entity_cache_policy(crate::entitycache::CachePolicy::Off);
+        let mut w = artifact_writer(&model, &kb, &vocab).unwrap();
+        let mut meta = Builder::new();
+        meta.u32(width as u32).u64(model.n_entities as u64);
+        w.add(SECTION_PLANE_META, meta.into_bytes());
+        w.add(SECTION_PLANE_F32, f32_bytes(&vec![0.0; model.n_entities * width]));
+        match thaw_from_bytes(w.to_bytes()) {
+            Err(FrozenError::SectionSchema { section, .. }) => {
+                assert_eq!(section, SECTION_PLANE_META)
+            }
+            Err(e) => panic!("expected a SectionSchema error on the plane, got {e}"),
+            Ok(_) => panic!("a plane wider than the layout thawed"),
         }
     }
 

@@ -57,8 +57,8 @@ pub struct BootlegModel {
     pub(crate) entity_titles: Vec<Vec<u32>>,
     /// Optional sentence co-occurrence KG matrix (benchmark model).
     pub(crate) cooccur: Option<CooccurrenceIndex>,
-    /// Inference-only cache of static per-entity payload rows (entity row,
-    /// pooled type/rel bags, title mean). See [`crate::entitycache`].
+    /// Inference-only cache of static per-entity payload rows (pooled
+    /// type/rel bags, title mean). See [`crate::entitycache`].
     pub(crate) repr_cache: crate::entitycache::EntityReprCache,
     /// Number of real entities (tables have one extra padding row).
     pub n_entities: usize,
@@ -233,7 +233,7 @@ impl BootlegModel {
             entity_titles,
             cooccur: None,
             repr_cache: crate::entitycache::EntityReprCache::new(
-                crate::entitycache::CachePolicy::from_env(),
+                crate::entitycache::CachePolicy::Full,
             ),
             n_entities,
         }

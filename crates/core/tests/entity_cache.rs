@@ -167,17 +167,19 @@ fn compression_bumps_version_and_rebuilds_the_plane() {
     // cache serving payloads of the pre-compression table.
     assert_ne!(compressed.params.version(), v0, "compression must bump the ParamStore version");
 
-    // The compressed model's plane rebuilds from the rewritten table — the
-    // dropped rows' payloads change, so the planes cannot be byte-equal.
+    // The compressed model's plane rebuilds under the new stamp. Compression
+    // rewrites only `embedding.entity`, which the plane does not hold, so
+    // the rebuilt plane is bit-equal to the original.
     compressed.set_entity_cache_policy(CachePolicy::Full);
     let (w1, rows1) = compressed.export_entity_plane().expect("compressed plane exports");
     assert_eq!(w0, w1, "compression must not change the payload layout");
     let bits0: Vec<u32> = rows0.iter().map(|v| v.to_bits()).collect();
     let bits1: Vec<u32> = rows1.iter().map(|v| v.to_bits()).collect();
-    assert_ne!(bits0, bits1, "compressed plane must be rebuilt, not inherited");
+    assert_eq!(bits0, bits1, "compression touched a pooled payload");
 
     // And the cached forward is still invisible: cached == uncached on the
-    // compressed model (i.e. nothing stale leaked into serving outputs).
+    // compressed model, so the served entity rows are the compressed
+    // table's (nothing stale leaked into serving outputs).
     let cached = snapshots(&compressed, &kb, &exs);
     compressed.set_entity_cache_policy(CachePolicy::Off);
     let reference = snapshots(&compressed, &kb, &exs);
@@ -200,4 +202,23 @@ fn train_step_invalidates_full_plane() {
     m.set_entity_cache_policy(CachePolicy::Off);
     let after_ref = snapshots(&m, &kb, &exs);
     assert_eq!(after_cached, after_ref, "served stale payloads after training");
+}
+
+#[test]
+fn plane_holds_only_the_pooled_signals() {
+    // Serving config: a row is the type pool and the relation pool; the
+    // entity row is gathered from `embedding.entity`, never copied here.
+    let cfg = BootlegConfig::default().serving();
+    let (_, _, m) = setup(cfg.clone());
+    m.warm_entity_cache();
+    assert_eq!(m.entity_cache_bytes(), m.n_entities * (cfg.type_dim + cfg.rel_dim) * 4);
+
+    // An entity-only model without titles has no static pooled signal, so
+    // it has no plane at all.
+    let cfg = BootlegConfig::default().with_variant(ModelVariant::EntOnly);
+    assert!(!cfg.title_feature);
+    let (_, _, m) = setup(cfg);
+    m.warm_entity_cache();
+    assert_eq!(m.entity_cache_bytes(), 0, "EntOnly built a plane");
+    assert!(m.export_entity_plane().is_none(), "EntOnly exports a plane");
 }

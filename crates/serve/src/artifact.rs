@@ -4,8 +4,8 @@
 //! they train one. When `BOOTLEG_ARTIFACT=path` is set, serve startup thaws
 //! the frozen bundle ([`bootleg_core::frozen`]) instead of regenerating the
 //! KB and re-parsing a checkpoint: the KB, vocabulary, config, trained
-//! weights, and (under `BOOTLEG_ENTITY_CACHE=full`) the prebuilt
-//! entity-payload plane all arrive in one validated bulk load, so
+//! weights, and the prebuilt entity-payload plane (the pooled type,
+//! relation and title signals) all arrive in one validated bulk load, so
 //! [`crate::Tier::warm`] on the resulting tier is a no-op and the process
 //! is serve-ready immediately.
 

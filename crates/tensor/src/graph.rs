@@ -234,6 +234,16 @@ fn accum_into(nodes: &mut [Node], id: usize, f: impl FnOnce(&mut Tensor)) {
     f(node.grad.as_mut().expect("just set"));
 }
 
+/// Like [`accum_into`], but `f` may also read any node's value (operands,
+/// the node's own output). The grad is moved out of the tape for the call
+/// and back after it, so no operand value has to be copied to satisfy the
+/// borrow — `id` may be one of the nodes `f` reads.
+fn accum_into_reading(nodes: &mut [Node], id: usize, f: impl FnOnce(&mut Tensor, &[Node])) {
+    let mut g = nodes[id].grad.take().unwrap_or_else(|| Tensor::zeros(nodes[id].value.shape()));
+    f(&mut g, nodes);
+    nodes[id].grad = Some(g);
+}
+
 /// Dispatches the backward rule of a single node.
 ///
 /// We temporarily take the op out of the node to satisfy the borrow checker
@@ -273,15 +283,15 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::Mul(a, b) => {
             let (a, b) = (*a, *b);
-            let bv = nodes[b].value.clone();
-            accum_into(nodes, a, |g| {
-                for ((gv, &d), &x) in g.data_mut().iter_mut().zip(dy.data()).zip(bv.data()) {
+            accum_into_reading(nodes, a, |g, nodes| {
+                let bv = nodes[b].value.data();
+                for ((gv, &d), &x) in g.data_mut().iter_mut().zip(dy.data()).zip(bv) {
                     *gv += d * x;
                 }
             });
-            let av = nodes[a].value.clone();
-            accum_into(nodes, b, |g| {
-                for ((gv, &d), &x) in g.data_mut().iter_mut().zip(dy.data()).zip(av.data()) {
+            accum_into_reading(nodes, b, |g, nodes| {
+                let av = nodes[a].value.data();
+                for ((gv, &d), &x) in g.data_mut().iter_mut().zip(dy.data()).zip(av) {
                     *gv += d * x;
                 }
             });
@@ -314,29 +324,29 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::MatMul(a, b) => {
             let (a, b) = (*a, *b);
-            let av = nodes[a].value.clone();
-            let bv = nodes[b].value.clone();
-            let (m, k) = shape::rows_cols(av.shape());
-            let n = bv.shape()[1];
+            let (m, k) = shape::rows_cols(nodes[a].value.shape());
+            let n = nodes[b].value.shape()[1];
             // dA = dY Bᵀ
-            accum_into(nodes, a, |g| {
-                kernels::matmul_a_bt_acc(dy.data(), bv.data(), g.data_mut(), m, n, k);
+            accum_into_reading(nodes, a, |g, nodes| {
+                let bv = nodes[b].value.data();
+                kernels::matmul_a_bt_acc(dy.data(), bv, g.data_mut(), m, n, k);
             });
             // dB = Aᵀ dY
-            accum_into(nodes, b, |g| {
-                kernels::matmul_at_b_acc(av.data(), dy.data(), g.data_mut(), m, k, n);
+            accum_into_reading(nodes, b, |g, nodes| {
+                let av = nodes[a].value.data();
+                kernels::matmul_at_b_acc(av, dy.data(), g.data_mut(), m, k, n);
             });
         }
         Op::BatchMatMul(a, b) => {
             let (a, b) = (*a, *b);
-            let av = nodes[a].value.clone();
-            let bv = nodes[b].value.clone();
-            let (bb, m, k, n) = shape::batch_matmul_dims(av.shape(), bv.shape());
-            accum_into(nodes, a, |g| {
+            let (bb, m, k, n) =
+                shape::batch_matmul_dims(nodes[a].value.shape(), nodes[b].value.shape());
+            accum_into_reading(nodes, a, |g, nodes| {
+                let bv = nodes[b].value.data();
                 for t in 0..bb {
                     kernels::matmul_a_bt_acc(
                         &dy.data()[t * m * n..(t + 1) * m * n],
-                        &bv.data()[t * k * n..(t + 1) * k * n],
+                        &bv[t * k * n..(t + 1) * k * n],
                         &mut g.data_mut()[t * m * k..(t + 1) * m * k],
                         m,
                         n,
@@ -344,10 +354,11 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
                     );
                 }
             });
-            accum_into(nodes, b, |g| {
+            accum_into_reading(nodes, b, |g, nodes| {
+                let av = nodes[a].value.data();
                 for t in 0..bb {
                     kernels::matmul_at_b_acc(
-                        &av.data()[t * m * k..(t + 1) * m * k],
+                        &av[t * m * k..(t + 1) * m * k],
                         &dy.data()[t * m * n..(t + 1) * m * n],
                         &mut g.data_mut()[t * k * n..(t + 1) * k * n],
                         m,
@@ -423,9 +434,9 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::Relu(x) => {
-            let xv = nodes[*x].value.clone();
-            accum_into(nodes, *x, |g| {
-                for ((gv, &d), &x0) in g.data_mut().iter_mut().zip(dy.data()).zip(xv.data()) {
+            accum_into_reading(nodes, *x, |g, nodes| {
+                let xv = nodes[*x].value.data();
+                for ((gv, &d), &x0) in g.data_mut().iter_mut().zip(dy.data()).zip(xv) {
                     if x0 > 0.0 {
                         *gv += d;
                     }
@@ -433,43 +444,43 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::Gelu(x) => {
-            let xv = nodes[*x].value.clone();
-            accum_into(nodes, *x, |g| {
-                for ((gv, &d), &x0) in g.data_mut().iter_mut().zip(dy.data()).zip(xv.data()) {
+            accum_into_reading(nodes, *x, |g, nodes| {
+                let xv = nodes[*x].value.data();
+                for ((gv, &d), &x0) in g.data_mut().iter_mut().zip(dy.data()).zip(xv) {
                     *gv += d * kernels::gelu_deriv(x0);
                 }
             });
         }
         Op::Tanh(x) => {
-            let yv = nodes[id].value.clone();
-            accum_into(nodes, *x, |g| {
-                for ((gv, &d), &y0) in g.data_mut().iter_mut().zip(dy.data()).zip(yv.data()) {
+            accum_into_reading(nodes, *x, |g, nodes| {
+                let yv = nodes[id].value.data();
+                for ((gv, &d), &y0) in g.data_mut().iter_mut().zip(dy.data()).zip(yv) {
                     *gv += d * (1.0 - y0 * y0);
                 }
             });
         }
         Op::Sigmoid(x) => {
-            let yv = nodes[id].value.clone();
-            accum_into(nodes, *x, |g| {
-                for ((gv, &d), &y0) in g.data_mut().iter_mut().zip(dy.data()).zip(yv.data()) {
+            accum_into_reading(nodes, *x, |g, nodes| {
+                let yv = nodes[id].value.data();
+                for ((gv, &d), &y0) in g.data_mut().iter_mut().zip(dy.data()).zip(yv) {
                     *gv += d * y0 * (1.0 - y0);
                 }
             });
         }
         Op::SoftmaxLast(x) => {
-            let yv = nodes[id].value.clone();
-            let (rows, cols) = shape::rows_cols(yv.shape());
-            accum_into(nodes, *x, |g| {
-                kernels::softmax_rows_backward(yv.data(), dy.data(), g.data_mut(), rows, cols);
+            let (rows, cols) = shape::rows_cols(nodes[id].value.shape());
+            accum_into_reading(nodes, *x, |g, nodes| {
+                let yv = nodes[id].value.data();
+                kernels::softmax_rows_backward(yv, dy.data(), g.data_mut(), rows, cols);
             });
         }
         Op::LogSoftmaxLast(x) => {
             // y = x - lse(x); dx = dy - softmax(x) * sum(dy) per row
-            let yv = nodes[id].value.clone();
-            let (rows, cols) = shape::rows_cols(yv.shape());
-            accum_into(nodes, *x, |g| {
+            let (rows, cols) = shape::rows_cols(nodes[id].value.shape());
+            accum_into_reading(nodes, *x, |g, nodes| {
+                let yv = nodes[id].value.data();
                 for r in 0..rows {
-                    let yr = &yv.data()[r * cols..(r + 1) * cols];
+                    let yr = &yv[r * cols..(r + 1) * cols];
                     let dyr = &dy.data()[r * cols..(r + 1) * cols];
                     let sum: f32 = dyr.iter().sum();
                     let gr = &mut g.data_mut()[r * cols..(r + 1) * cols];
@@ -526,18 +537,18 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
         }
         Op::Maximum(a, b) => {
             let (a, b) = (*a, *b);
-            let av = nodes[a].value.clone();
-            let bv = nodes[b].value.clone();
-            accum_into(nodes, a, |g| {
+            accum_into_reading(nodes, a, |g, nodes| {
+                let (av, bv) = (nodes[a].value.data(), nodes[b].value.data());
                 for (i, gv) in g.data_mut().iter_mut().enumerate() {
-                    if av.data()[i] >= bv.data()[i] {
+                    if av[i] >= bv[i] {
                         *gv += dy.data()[i];
                     }
                 }
             });
-            accum_into(nodes, b, |g| {
+            accum_into_reading(nodes, b, |g, nodes| {
+                let (av, bv) = (nodes[a].value.data(), nodes[b].value.data());
                 for (i, gv) in g.data_mut().iter_mut().enumerate() {
-                    if av.data()[i] < bv.data()[i] {
+                    if av[i] < bv[i] {
                         *gv += dy.data()[i];
                     }
                 }
@@ -551,8 +562,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             });
         }
         Op::LayerNorm { x, gamma, beta, eps } => {
-            let xv = nodes[*x].value.clone();
-            let gv = nodes[*gamma].value.clone();
+            let (xv, gv) = (&nodes[*x].value, &nodes[*gamma].value);
             let (rows, cols) = shape::rows_cols(xv.shape());
             let cn = cols as f32;
             // dbeta / dgamma accumulate across rows (zeroed); dx is fully
@@ -592,7 +602,7 @@ fn backward_node(nodes: &mut [Node], id: usize, dy: &Tensor, store: &mut ParamSt
             accum_owned(nodes, *beta, Tensor::new([cols], dbeta));
         }
         Op::CrossEntropyRows { logits, targets } => {
-            let lv = nodes[*logits].value.clone();
+            let lv = &nodes[*logits].value;
             let (rows, cols) = shape::rows_cols(lv.shape());
             let d = dy.item() / rows as f32;
             let mut sm = vec![0.0; rows * cols];
