@@ -186,7 +186,9 @@ fn bench_data_pipeline() {
 /// The asserted `kernel_gflops_naive` / `kernel_gflops_tiled` pair measures
 /// the `A·Bᵀ` input-gradient matmul: its naive form is one sequential
 /// dot-product chain per element (latency-bound, cannot vectorize along k
-/// without reassociating), which is exactly the case register tiling fixes.
+/// without reassociating), which is exactly the case register tiling fixes;
+/// the tiled arm is the `matmul_a_bt_acc` dispatcher, which runs the forward
+/// tile on a packed `bᵀ`.
 /// The forward `A·B` kernel is recorded alongside without an assert — its
 /// naive i-k-j saxpy form auto-vectorizes to near ALU peak, so the tile can
 /// only match it, not beat it (see DESIGN.md). Every pair is asserted
@@ -205,9 +207,14 @@ fn bench_kernel_gflops(results: &mut Results) {
         kernels::matmul_a_bt_naive(black_box(a.data()), black_box(b.data()), &mut out, m, k, n);
     });
     let naive_out = out.clone();
-    let tiled_secs = bench_function("kernels/a_bt_96_tiled", || {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        kernels::matmul_a_bt_tiled(black_box(a.data()), black_box(b.data()), &mut out, m, k, n);
+    // The dispatcher fans out above `PAR_MATMUL_FLOPS`; a 1-thread pool keeps
+    // the ratio serial against serial.
+    let serial_pool = ThreadPool::new(1);
+    let tiled_secs = with_pool(&serial_pool, || {
+        bench_function("kernels/a_bt_96_tiled", || {
+            out.iter_mut().for_each(|x| *x = 0.0);
+            kernels::matmul_a_bt_acc(black_box(a.data()), black_box(b.data()), &mut out, m, k, n);
+        })
     });
     assert!(bit_eq(&naive_out, &out), "tiled a_bt must be bit-identical to naive");
 

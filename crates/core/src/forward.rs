@@ -18,10 +18,11 @@
 //! The per-candidate type/relation bags *are* padded (to the batch's widest
 //! bag) because additive-attention pooling dominates the embed phase. Pads
 //! sit after the real entries and are erased by a `-inf` additive mask
-//! before the softmax: `exp(-inf) = +0.0` exactly, appending `+0.0` to a
-//! left-to-right sum changes nothing, and the matmul kernels skip
-//! exact-zero weights — so pooled rows are bit-identical to the unpadded
-//! path (see [`bootleg_nn::AddAttn::pool_ragged`]).
+//! before the softmax: `exp(-inf) = +0.0` exactly, and appending `+0.0` to
+//! a left-to-right sum changes nothing. The pads are finite rows, so each
+//! adds `+0.0 · pad`, a signed zero, to a matmul accumulator that starts at
+//! `+0.0` and can never become `-0.0` — so pooled rows are bit-identical to
+//! the unpadded path (see [`bootleg_nn::AddAttn::pool_ragged`]).
 //!
 //! # Deadlines
 //!
@@ -751,8 +752,9 @@ impl BootlegModel {
         for &e in cand_entities {
             let ids = &bags[e as usize];
             flat.extend_from_slice(ids);
-            // Pad with the bag's last id: always a valid row, and its
-            // softmax weight is exactly zero, so the choice is inert.
+            // Pad with the bag's last id: always a valid row (finite while
+            // the table is), and its softmax weight is exactly zero, so the
+            // choice is inert.
             let pad = *ids.last().expect("bags are never empty");
             flat.resize(flat.len() + (t_max - ids.len()), pad);
         }

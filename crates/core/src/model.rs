@@ -276,19 +276,11 @@ impl BootlegModel {
         table.row(row)
     }
 
-    /// The additive-attention pool `rₑ` over an entity's relation embeddings
-    /// (§3.1) — the component that makes an entity's KG participation
-    /// decodable by downstream tasks. Zeros when relations are ablated away.
-    /// Allocates the result; feature-extraction loops should prefer
-    /// [`Self::pooled_relation_embedding_into`].
-    pub fn pooled_relation_embedding(&self, e: EntityId) -> Vec<f32> {
-        let mut out = vec![0.0; self.config.rel_dim];
-        self.pooled_relation_embedding_into(e, &mut out);
-        out
-    }
-
-    /// Writes `rₑ` into `out` (length `rel_dim`) without allocating the
-    /// result; only the throwaway tape's intermediate buffers are allocated.
+    /// Writes the additive-attention pool `rₑ` over an entity's relation
+    /// embeddings (§3.1) into `out` (length `rel_dim`) — the component that
+    /// makes an entity's KG participation decodable by downstream tasks.
+    /// Zeros when relations are ablated away. Only the throwaway tape's
+    /// intermediate buffers are allocated.
     pub fn pooled_relation_embedding_into(&self, e: EntityId, out: &mut [f32]) {
         assert_eq!(out.len(), self.config.rel_dim, "out must have rel_dim elements");
         if !self.config.use_kg() {
@@ -322,11 +314,6 @@ impl BootlegModel {
         let g = bootleg_tensor::Graph::new();
         let bag = g.gather_rows(&self.params, self.type_emb, &self.entity_types[e.idx()]);
         self.type_attn.forward(&g, &self.params, &bag).copy_value_into(out);
-    }
-
-    /// Recomputes the regularization table (e.g. after changing the scheme).
-    pub fn refresh_regularization(&mut self) {
-        self.reg_p = self.config.regularization.table(&self.entity_counts);
     }
 
     /// Clones the model (parameters included) — used by the compression

@@ -73,20 +73,6 @@ impl KnowledgeBase {
         &self.aliases[id.idx()]
     }
 
-    /// The entity record for `id`, or `None` when the id is outside the KB.
-    /// Use on the inference path, where ids come from requests rather than
-    /// from this KB's own tables.
-    pub fn get_entity(&self, id: EntityId) -> Option<&Entity> {
-        self.entities.get(id.idx())
-    }
-
-    /// The alias record for `id`, or `None` when the id is outside the KB
-    /// (checked counterpart of [`KnowledgeBase::alias`] for the inference
-    /// path).
-    pub fn get_alias(&self, id: AliasId) -> Option<&AliasInfo> {
-        self.aliases.get(id.idx())
-    }
-
     /// Looks up an alias by surface form.
     pub fn alias_by_surface(&self, surface: &str) -> Option<AliasId> {
         self.alias_by_surface.get(surface).copied()
@@ -120,11 +106,6 @@ impl KnowledgeBase {
     /// the paper's granularity-error relation.
     pub fn is_granularity_pair(&self, a: EntityId, b: EntityId) -> bool {
         self.entity(a).parent == Some(b) || self.entity(b).parent == Some(a)
-    }
-
-    /// All entities having the given type.
-    pub fn entities_with_type(&self, t: TypeId) -> Vec<EntityId> {
-        self.entities.iter().filter(|e| e.types.contains(&t)).map(|e| e.id).collect()
     }
 
     /// `true` if two entities share at least one fine-grained type.

@@ -180,12 +180,15 @@ impl AddAttn {
 
     /// Pools C padded bags at once: `bag` is `(C·t_max, d_in)` where bag `c`
     /// occupies rows `c·t_max .. (c+1)·t_max` with its `lens[c]` real rows
-    /// first and arbitrary padding rows after them. Returns `(C, d_in)`.
+    /// first and arbitrary finite padding rows after them. Returns `(C, d_in)`.
     ///
     /// Padding rows are neutralized with a `-inf` additive mask before the
-    /// softmax: `exp(-inf) = +0.0` exactly, the pads sit *after* the real
-    /// entries so the softmax's left-to-right sum is unchanged, and the
-    /// matmul kernels skip exact-zero weights, so row `c` of the result is
+    /// softmax: `exp(-inf) = +0.0` exactly, and the pads sit *after* the real
+    /// entries, so the softmax's left-to-right sum is unchanged. In the
+    /// weighted sum each pad then adds `+0.0 · pad`, a signed zero because
+    /// the pad is finite (debug-asserted). The matmul accumulator starts at
+    /// `+0.0` and round-to-nearest addition never turns it into `-0.0`, so
+    /// adding a signed zero changes no bit: row `c` of the result is
     /// bit-identical to [`AddAttn::forward`] on the unpadded bag.
     pub fn pool_ragged(
         &self,
@@ -206,6 +209,17 @@ impl AddAttn {
                 *m = f32::NEG_INFINITY;
             }
         }
+        debug_assert!(
+            {
+                let v = bag.value();
+                lens.iter().enumerate().all(|(ci, &len)| {
+                    v.data()[(ci * t_max + len) * d_in..(ci + 1) * t_max * d_in]
+                        .iter()
+                        .all(|x| x.is_finite())
+                })
+            },
+            "padding rows must be finite"
+        );
         let mask = g.leaf(Tensor::new([c, t_max], mask));
         let weights = scores.reshape(&[c, t_max]).add(&mask).softmax_last(); // (C, t_max)
         weights

@@ -172,12 +172,6 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
-
-    fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A last-value-wins f64 gauge (also supports additive updates).
@@ -310,14 +304,6 @@ impl Histogram {
             buckets,
         }
     }
-
-    fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-    }
 }
 
 /// Geometric bucket bounds: `start, start*factor, ...` (`n` bounds).
@@ -429,21 +415,6 @@ pub fn snapshot() -> MetricsSnapshot {
         .collect();
     histograms.sort_by(|a, b| a.0.cmp(&b.0));
     MetricsSnapshot { counters, gauges, histograms }
-}
-
-/// Zeroes every registered metric (tests and long-lived processes; not
-/// linearizable against concurrent writers).
-pub fn reset_metrics() {
-    let reg = registry();
-    for c in reg.counters.lock().expect("obs registry").values() {
-        c.reset();
-    }
-    for g in reg.gauges.lock().expect("obs registry").values() {
-        g.set(0.0);
-    }
-    for h in reg.histograms.lock().expect("obs registry").values() {
-        h.reset();
-    }
 }
 
 #[cfg(test)]

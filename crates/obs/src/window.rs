@@ -179,13 +179,6 @@ impl WindowHistogram {
     pub fn snapshot(&self) -> WindowSnapshot {
         self.snapshot_at(now_ms())
     }
-
-    fn reset(&self) {
-        let mut slots = self.slots.lock().expect("window slots");
-        for s in slots.iter_mut() {
-            *s = Slot::new(self.bounds.len() + 1);
-        }
-    }
 }
 
 fn registry() -> &'static Mutex<HashMap<String, &'static WindowHistogram>> {
@@ -232,13 +225,6 @@ pub fn snapshot_windows_at(at_ms: u64) -> Vec<(String, WindowSnapshot)> {
 /// Snapshots every registered window histogram as of now.
 pub fn snapshot_windows() -> Vec<(String, WindowSnapshot)> {
     snapshot_windows_at(now_ms())
-}
-
-/// Zeroes every registered window histogram (tests).
-pub fn reset_windows() {
-    for w in registry().lock().expect("obs window registry").values() {
-        w.reset();
-    }
 }
 
 #[cfg(test)]

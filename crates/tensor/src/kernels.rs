@@ -4,35 +4,30 @@
 //!
 //! ## Micro-kernel tiling
 //!
-//! The matmul family runs register-blocked micro-kernels: output tiles of
-//! [`MR`] rows × [`NR`] columns are loaded into stack arrays the compiler
-//! keeps in SIMD registers, the full k-extent is accumulated into them, and
-//! they are stored back once — so the innermost loop touches no `c` memory
-//! and reuses each loaded `b` row across `MR` output rows. The transposed
-//! backward matmuls additionally pack their strided operand into a
-//! contiguous panel buffer (`AᵀB` packs `MR` columns of `a`, `A·Bᵀ`
-//! packs [`BT_NR`] rows of `b` column-interleaved) so the inner loops stream
-//! unit-stride. The seed's i-k-j loops are kept as `matmul_*_naive`
-//! references for the equivalence tests and benchmarks. The largest win is
-//! `A·Bᵀ` (the dx backward): its naive form is one sequential dot-product
-//! chain per element, which cannot vectorize along k without reassociating,
-//! while the tile runs `MR`×`BT_NR` independent chains.
+//! Every matmul runs one register-blocked micro-kernel, [`matmul_acc_tiled`]
+//! (`c += a·b`, portable plus an AVX2 edition): output tiles of [`MR`] rows
+//! × [`NR`] columns are loaded into stack arrays the compiler keeps in SIMD
+//! registers, the full k-extent is accumulated into them, and they are
+//! stored back once — so the innermost loop touches no `c` memory and reuses
+//! each loaded `b` row across `MR` output rows. The two backward products
+//! reuse that tile on a transposed copy of their strided operand, packed
+//! once per call by a cache-blocked transpose: `AᵀB` packs `aᵀ` and
+//! accumulates straight into `c`; `A·Bᵀ` packs `bᵀ` and accumulates into a
+//! zeroed scratch that is added to `c` once. The seed's loops are kept as
+//! `matmul_*_naive` references for the equivalence tests and benchmarks.
+//! The largest win is `A·Bᵀ` (the dx backward): its naive form is one
+//! sequential dot-product chain per element, which cannot vectorize along k
+//! without reassociating, while the tile runs `MR`×`NR` independent chains.
 //!
 //! **Accumulation-order invariant:** every tiled kernel performs, per output
 //! element, exactly the floating-point operations of the naive loop in
 //! exactly the same order — k ascending, separate mul and add (Rust never
-//! contracts to FMA), and the same skip of `a`-operands that equal `0.0`
-//! (adding `+0.0` is *not* a bitwise no-op: it flips a `-0.0` accumulator).
-//! Tiling only changes *which registers* hold the partial sums, never the
-//! arithmetic, so naive, tiled, and pool-chunked results are bit-identical.
-//!
-//! The zero-skip makes the inner loop branchy, which costs real throughput
-//! when `a` is dense; the skipping kernels therefore hoist one "does this
-//! `MR`-row panel of `a` contain any exact zero?" scan out of the tile loop
-//! (cost `1/(2n)` of the panel's flops) and run a fully branchless tile when
-//! it doesn't. Skipping only ever fires on zero operands, so taking the
-//! branchless path on a zero-free panel is arithmetic-identical, not just
-//! bit-identical by accident.
+//! contracts to FMA). For `A·Bᵀ` that means the naive loop's dot chain `s`,
+//! started at `+0.0`, then `*cv += s`; chaining into a non-zero `c` instead
+//! would add the same terms in a different order. Tiling only changes
+//! *which registers* hold the partial sums, never the arithmetic, so naive,
+//! tiled, and pool-chunked results are bit-identical. No kernel skips zero
+//! operands: the tile is branchless.
 //!
 //! ## Data parallelism
 //!
@@ -153,15 +148,12 @@ pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 
 /// Reference i-k-j scalar loop for `c += a·b`. Bit-identical to
 /// [`matmul_acc_tiled`]; kept for the equivalence property tests and the
-/// `kernel_gflops_naive` baseline benchmark.
+/// `kernel_gflops_fwd_naive` baseline benchmark.
 pub fn matmul_acc_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
         for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let brow = &b[p * n..(p + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
                 *cv += av * bv;
@@ -170,16 +162,13 @@ pub fn matmul_acc_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
     }
 }
 
-/// Register-blocked `c += a (m×k) · b (k×n)`.
+/// Register-blocked `c += a (m×k) · b (k×n)` — the one matmul micro-kernel.
 ///
 /// Full [`MR`]×[`NR`] output tiles are accumulated in stack registers; the
 /// k-loop broadcasts one `a` element per row against an `NR`-wide `b` slice,
 /// so each `b` load is reused `MR` times and `c` is touched once per tile.
-/// A hoisted per-panel zero scan picks a branchless tile when the `MR`×k
-/// panel of `a` is zero-free and falls back to the per-row skipping naive
-/// loop when it isn't. Per-element arithmetic (k order, mul/add split,
-/// zero-skip) is exactly the naive loop's — see the module docs on the
-/// accumulation-order invariant.
+/// Per-element arithmetic (k order, mul/add split) is exactly the naive
+/// loop's — see the module docs on the accumulation-order invariant.
 ///
 /// On x86-64 hosts with AVX2 this dispatches to an explicit-intrinsics tile
 /// (detected once at runtime); it performs the same mul-then-add per output
@@ -189,7 +178,10 @@ pub fn matmul_acc_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
 pub fn matmul_acc_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if n >= 8 && avx2_available() {
-        assert!(b.len() >= k * n && c.len() >= m * n, "matmul operand shorter than its shape");
+        assert!(
+            a.len() >= m * k && b.len() >= k * n && c.len() >= m * n,
+            "matmul operand shorter than its shape"
+        );
         // SAFETY: AVX2 support was verified at runtime; the lengths were
         // checked just above.
         unsafe { matmul_acc_tiled_avx2(a, b, c, m, k, n) };
@@ -202,14 +194,6 @@ pub fn matmul_acc_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
 fn matmul_acc_tiled_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let mut i = 0;
     while i + MR <= m {
-        if a[i * k..(i + MR) * k].contains(&0.0) {
-            // Zero-skips would fire inside the tile; the naive loop pays one
-            // branch per (row, p) amortized over the whole n-wide row instead
-            // of one per tile column block.
-            matmul_acc_naive(&a[i * k..(i + MR) * k], b, &mut c[i * n..(i + MR) * n], MR, k, n);
-            i += MR;
-            continue;
-        }
         let mut j = 0;
         while j + NR <= n {
             let mut acc = [[0.0f32; NR]; MR];
@@ -282,34 +266,29 @@ fn avx2_available() -> bool {
 /// the rows. Vector lanes are disjoint output columns, the k-loop stays
 /// outermost-per-element, and multiplies are never contracted into FMA, so
 /// every output element performs exactly the naive loop's mul-then-add
-/// sequence — bit-identical, just eight columns per instruction. Zero-laden
-/// `a` panels take the same naive fallback as the portable tile; unlike the
+/// sequence — bit-identical, just eight columns per instruction. Unlike the
 /// portable tile, row tails (< [`MR`] rows) run vectorized at reduced height
 /// rather than falling back to the scalar loop, which matters for the skinny
 /// per-example matrices of the sequential forward path.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2, and `b.len() >= k * n`, `c.len() >= m * n`.
+/// The CPU must support AVX2, and `a.len() >= m * k`, `b.len() >= k * n`,
+/// `c.len() >= m * n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_acc_tiled_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    // SAFETY: the caller guarantees AVX2 and the `b` / `c` lengths (see
-    // `# Safety`). The unchecked `a` reads stay inside `panel`, whose
-    // slicing is bounds-checked. Every `b` / `c` vector access starts at
-    // column `j` of a row `p < k` / `i + r < m` and spans at most the 24
-    // columns the loop condition (`j + 24 <= n`, `j + 8 <= n`) admits.
+    // SAFETY: the caller guarantees AVX2 and the `a` / `b` / `c` lengths
+    // (see `# Safety`). Every unchecked `a` read is at `(i + r) * k + p`
+    // with `i + r < m` and `p < k`, so below `m * k`. Every `b` / `c` vector
+    // access starts at column `j` of a row `p < k` / `i + r < m` and spans
+    // at most the 24 columns the loop condition (`j + 24 <= n`,
+    // `j + 8 <= n`) admits.
     unsafe {
         use core::arch::x86_64::*;
         let mut i = 0;
         while i < m {
             let mr = MR.min(m - i);
-            let panel = &a[i * k..(i + mr) * k];
-            if panel.contains(&0.0) {
-                matmul_acc_naive(panel, b, &mut c[i * n..(i + mr) * n], mr, k, n);
-                i += mr;
-                continue;
-            }
             let mut j = 0;
             while j + 24 <= n {
                 let mut acc = [[_mm256_setzero_ps(); 3]; MR];
@@ -377,7 +356,15 @@ unsafe fn matmul_acc_tiled_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k
 
 /// `(B, M, K) × (B, K, N)` batched matmul into a pre-zeroed `c` (B, M, N),
 /// parallel over the batch axis above the flop cutoff.
-pub fn batch_matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], bb: usize, m: usize, k: usize, n: usize) {
+pub fn batch_matmul_acc(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    bb: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     debug_assert_eq!(a.len(), bb * m * k);
     debug_assert_eq!(b.len(), bb * k * n);
     debug_assert_eq!(c.len(), bb * m * n);
@@ -411,34 +398,35 @@ pub fn batch_matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], bb: usize, m: usize
 
 /// `c += aᵀ (k×m, stored m×k) * b (m×n)`; result is k×n.
 /// Used for weight gradients: dW = xᵀ dy.
+///
+/// Packs `aᵀ` once, then runs [`matmul_acc_tiled`] straight into `c`: output
+/// row `p` accumulates `aᵀ[p, i] · b[i, ..]` over ascending `i`, the chain of
+/// [`matmul_at_b_naive`].
 pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(c.len(), k * n);
     let par = k >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
     obs_matmul(m * k * n, par);
+    let at = transpose(a, m, k);
     if par {
-        // Split the k output rows; each chunk walks i in the same ascending
-        // order as the serial loop, so per-element accumulation order (and
-        // thus every bit of the result) is unchanged.
         let rows_per = rows_per_chunk(PAR_MATMUL_CHUNK_FLOPS, m * n).next_multiple_of(MR);
         bootleg_pool::parallel_chunks_mut(c, rows_per * n, |ci, cc| {
-            matmul_at_b_panel(a, b, cc, m, k, n, ci * rows_per);
+            let r0 = ci * rows_per;
+            let rows = cc.len() / n;
+            matmul_acc_tiled(&at[r0 * m..(r0 + rows) * m], b, cc, rows, m, n);
         });
     } else {
-        matmul_at_b_panel(a, b, c, m, k, n, 0);
+        matmul_acc_tiled(&at, b, c, k, m, n);
     }
 }
 
-/// Reference loop for `c += aᵀ·b`. Bit-identical to [`matmul_at_b_panel`].
+/// Reference loop for `c += aᵀ·b`. Bit-identical to [`matmul_at_b_acc`].
 pub fn matmul_at_b_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let brow = &b[i * n..(i + 1) * n];
         for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let crow = &mut c[p * n..(p + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
                 *cv += av * bv;
@@ -447,139 +435,42 @@ pub fn matmul_at_b_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize
     }
 }
 
-/// Packed-panel micro-kernel for `cpanel += (aᵀ·b)[p0.., ..]` where `cpanel`
-/// holds `cpanel.len() / n` consecutive output rows starting at row `p0`.
-///
-/// The operand `aᵀ` is column-strided in memory (element `(p, i)` lives at
-/// `a[i*k + p]`), so the panel first packs the `MR` active `a` columns into a
-/// contiguous buffer (`packed[i*MR + r]`); the k-loop then
-/// streams unit-stride through both operands. Serves both the serial path
-/// (`p0 == 0`, whole output) and the pool's row-chunk closures, which is what
-/// keeps the chunked result bit-identical to the serial one: per element the
-/// i-ascending zero-skipping accumulation of [`matmul_at_b_naive`] is
-/// replayed exactly, only from registers instead of memory.
-pub fn matmul_at_b_panel(
-    a: &[f32],
-    b: &[f32],
-    cpanel: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    p0: usize,
-) {
-    debug_assert_eq!(cpanel.len() % n.max(1), 0);
-    let prows = cpanel.len() / n.max(1);
-    debug_assert!(p0 + prows <= k);
-    let mut packed = vec![0.0; m * MR];
-    let mut r = 0;
-    while r < prows {
-        let mr = MR.min(prows - r);
-        for i in 0..m {
-            let base = i * k + p0 + r;
-            for q in 0..mr {
-                packed[i * mr + q] = a[base + q];
-            }
-        }
-        if packed[..m * mr].contains(&0.0) {
-            // Zero-skips would fire: run the skipping saxpy over the whole
-            // block instead (one branch per (i, q), amortized over n).
-            for i in 0..m {
-                let brow = &b[i * n..(i + 1) * n];
-                for q in 0..mr {
-                    let av = packed[i * mr + q];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let crow = &mut cpanel[(r + q) * n..(r + q + 1) * n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            r += mr;
-            continue;
-        }
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f32; NR]; MR];
-            for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                accq.copy_from_slice(&cpanel[row..row + NR]);
-            }
-            if mr == MR {
-                for i in 0..m {
-                    let ap = <&[f32; MR]>::try_from(&packed[i * MR..i * MR + MR]).unwrap();
-                    let bp = <&[f32; NR]>::try_from(&b[i * n + j..i * n + j + NR]).unwrap();
-                    for (q, accq) in acc.iter_mut().enumerate() {
-                        let av = ap[q];
-                        for (cv, &bv) in accq.iter_mut().zip(bp.iter()) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-            } else {
-                for i in 0..m {
-                    let bp = <&[f32; NR]>::try_from(&b[i * n + j..i * n + j + NR]).unwrap();
-                    for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                        let av = packed[i * mr + q];
-                        for (cv, &bv) in accq.iter_mut().zip(bp.iter()) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-            }
-            for (q, accq) in acc.iter().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                cpanel[row..row + NR].copy_from_slice(accq);
-            }
-            j += NR;
-        }
-        if j < n {
-            let w = n - j;
-            let mut acc = [[0.0f32; NR]; MR];
-            for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                accq[..w].copy_from_slice(&cpanel[row..row + w]);
-            }
-            for i in 0..m {
-                let bp = &b[i * n + j..i * n + n];
-                for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                    let av = packed[i * mr + q];
-                    for (cv, &bv) in accq[..w].iter_mut().zip(bp.iter()) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            for (q, accq) in acc.iter().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                cpanel[row..row + w].copy_from_slice(&accq[..w]);
-            }
-        }
-        r += mr;
-    }
-}
-
 /// `c += a (m×k) * bᵀ (n×k, stored n×k)`; result is m×n.
 /// Used for input gradients: dx = dy Wᵀ.
+///
+/// Packs `bᵀ` once, runs [`matmul_acc_tiled`] into a zeroed scratch and adds
+/// the scratch to `c`: per element that is the naive loop's dot chain `s`
+/// (k ascending from `+0.0`) followed by `*cv += s`.
 pub fn matmul_a_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
     let par = m >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
     obs_matmul(m * k * n, par);
+    let bt = transpose(b, n, k);
     if par {
         let rows_per = rows_per_chunk(PAR_MATMUL_CHUNK_FLOPS, k * n).next_multiple_of(MR);
         bootleg_pool::parallel_chunks_mut(c, rows_per * n, |ci, cc| {
             let r0 = ci * rows_per;
             let rows = cc.len() / n;
-            matmul_a_bt_tiled(&a[r0 * k..(r0 + rows) * k], b, cc, rows, k, n);
+            matmul_acc_scratch(&a[r0 * k..(r0 + rows) * k], &bt, cc, rows, k, n);
         });
     } else {
-        matmul_a_bt_tiled(a, b, c, m, k, n);
+        matmul_acc_scratch(a, &bt, c, m, k, n);
     }
 }
 
-/// Reference loop for `c += a·bᵀ`. Bit-identical to [`matmul_a_bt_tiled`].
+/// `c += (a·b)` with the product accumulated in a zeroed scratch first, so
+/// each element is added to `c` once, after its whole k-chain.
+fn matmul_acc_scratch(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let mut s = vec![0.0; m * n];
+    matmul_acc_tiled(a, b, &mut s, m, k, n);
+    for (cv, sv) in c.iter_mut().zip(&s) {
+        *cv += sv;
+    }
+}
+
+/// Reference loop for `c += a·bᵀ`. Bit-identical to [`matmul_a_bt_acc`].
 pub fn matmul_a_bt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
@@ -595,80 +486,25 @@ pub fn matmul_a_bt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize
     }
 }
 
-/// Number of `b` rows (output columns) per `A·Bᵀ` register tile.
-pub const BT_NR: usize = 8;
+/// Side of the square blocks [`transpose`] copies: a 16×16 f32 block spans
+/// 16 cache lines of source and 16 of destination, so both the strided reads
+/// and the strided writes stay in L1 while the block is copied.
+const TRANSPOSE_BLOCK: usize = 16;
 
-/// Register-blocked `c += a (m×k) · bᵀ (b stored n×k)`.
-///
-/// The naive loop is one sequential dot-product chain per output element —
-/// k-ascending adds with a loop-carried dependency that cannot vectorize
-/// without reassociating. The tile keeps [`MR`]×[`BT_NR`] independent
-/// accumulator chains in registers instead, and first packs the [`BT_NR`]
-/// active `b` rows column-interleaved into a panel buffer
-/// (`packed[p*BT_NR + q] = b[(j+q)*k + p]`, cost `1/(2m)` of the block's
-/// flops) so the k-loop loads one contiguous `BT_NR`-wide slice per step
-/// rather than `BT_NR` strided scalars. Each chain is still a strictly
-/// sequential k-ascending sum — identical to the naive local accumulator —
-/// and is added to `c` once at the end, exactly like the naive `*cv += s`.
-/// (The naive loop has no zero-skip here, so neither does the tile.)
-pub fn matmul_a_bt_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut packed = vec![0.0; k * BT_NR];
-    let mut j = 0;
-    while j + BT_NR <= n {
-        for p in 0..k {
-            for q in 0..BT_NR {
-                packed[p * BT_NR + q] = b[(j + q) * k + p];
-            }
-        }
-        let mut i = 0;
-        while i + MR <= m {
-            let mut acc = [[0.0f32; BT_NR]; MR];
-            for p in 0..k {
-                let bp = <&[f32; BT_NR]>::try_from(&packed[p * BT_NR..p * BT_NR + BT_NR])
-                    .unwrap();
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = a[(i + r) * k + p];
-                    for (cv, &bv) in accr.iter_mut().zip(bp.iter()) {
-                        *cv += av * bv;
-                    }
+/// The `cols × rows` transpose of the row-major `rows × cols` matrix `src`,
+/// copied block by block.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut dst = vec![0.0; rows * cols];
+    for r0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
+        for c0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
+            for r in r0..(r0 + TRANSPOSE_BLOCK).min(rows) {
+                for c in c0..(c0 + TRANSPOSE_BLOCK).min(cols) {
+                    dst[c * rows + r] = src[r * cols + c];
                 }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let row = (i + r) * n + j;
-                for (cv, &s) in c[row..row + BT_NR].iter_mut().zip(accr.iter()) {
-                    *cv += s;
-                }
-            }
-            i += MR;
-        }
-        // Row tail (< MR rows): per-row dots against the packed panel.
-        while i < m {
-            let arow = &a[i * k..(i + 1) * k];
-            for q in 0..BT_NR {
-                let mut s = 0.0;
-                for (p, &av) in arow.iter().enumerate() {
-                    s += av * packed[p * BT_NR + q];
-                }
-                c[i * n + j + q] += s;
-            }
-            i += 1;
-        }
-        j += BT_NR;
-    }
-    // Column tail (< BT_NR b rows): naive dots straight from `b`.
-    if j < n {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for jj in j..n {
-                let brow = &b[jj * k..(jj + 1) * k];
-                let mut s = 0.0;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    s += av * bv;
-                }
-                c[i * n + jj] += s;
             }
         }
     }
+    dst
 }
 
 /// Gathers `rows` of a row-major `(·, cols)` table into `out`
@@ -1293,8 +1129,7 @@ mod tests {
     }
 
     fn pseudo(n: usize, salt: u64) -> Vec<f32> {
-        // Deterministic, non-trivial values with some exact zeros (to
-        // exercise the skip-zero fast path).
+        // Deterministic, non-trivial values with some exact zeros.
         (0..n)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(salt);
@@ -1411,6 +1246,13 @@ mod tests {
     fn tiled_matmul_rejects_a_short_output() {
         let mut c = vec![0.0; 15];
         matmul_acc_tiled(&pseudo(2 * 3, 1), &pseudo(3 * 8, 2), &mut c, 2, 3, 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn tiled_matmul_rejects_a_short_lhs() {
+        let mut c = vec![0.0; 16];
+        matmul_acc_tiled(&pseudo(2 * 3 - 1, 1), &pseudo(3 * 8, 2), &mut c, 2, 3, 8);
     }
 
     #[test]

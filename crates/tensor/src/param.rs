@@ -151,15 +151,6 @@ impl ParamStore {
         self.params.iter().filter(|p| pred(&p.name)).map(|p| p.data.numel() * 4).sum()
     }
 
-    /// Freezes every parameter whose name satisfies the predicate.
-    pub fn freeze_where(&mut self, mut pred: impl FnMut(&str) -> bool) {
-        for p in &mut self.params {
-            if pred(&p.name) {
-                p.frozen = true;
-            }
-        }
-    }
-
     /// Global gradient L2 norm across all trainable parameters.
     pub fn grad_norm(&self) -> f32 {
         self.params

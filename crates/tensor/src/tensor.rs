@@ -105,11 +105,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// The single value of a scalar (or 1-element) tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(self.data.len(), 1, "item() on tensor with {} elements", self.data.len());
