@@ -16,7 +16,7 @@ const N_BINS: usize = 5;
 type DynPredict<'a> = Box<dyn FnMut(&Example) -> Vec<usize> + 'a>;
 
 /// One sentence through the unified forward entrypoint.
-fn run_one(model: &BootlegModel, kb: &bootleg_kb::KnowledgeBase, ex: &Example) -> Vec<usize> {
+fn infer(model: &BootlegModel, kb: &bootleg_kb::KnowledgeBase, ex: &Example) -> Vec<usize> {
     model
         .run(kb, std::slice::from_ref(ex), ForwardOptions::inference())
         .expect("unlimited deadline cannot interrupt")
@@ -113,8 +113,8 @@ fn main() -> std::io::Result<()> {
     println!("Figure 4: error rate vs rare-entity proportion of the gold's category");
     let mut models: Vec<(&str, DynPredict<'_>)> = vec![
         ("NED-Base", Box::new(|ex: &Example| ned.predict_indices(ex))),
-        ("Ent-only", Box::new(|ex: &Example| run_one(&ent_only, &wb.kb, ex))),
-        ("Bootleg", Box::new(|ex: &Example| run_one(&bootleg, &wb.kb, ex))),
+        ("Ent-only", Box::new(|ex: &Example| infer(&ent_only, &wb.kb, ex))),
+        ("Bootleg", Box::new(|ex: &Example| infer(&bootleg, &wb.kb, ex))),
     ];
     let by_relation = print_panel("(Left) by relation", eval_set, &rel_prop, &mut models);
     let by_type = print_panel("(Right) by type", eval_set, &type_prop, &mut models);

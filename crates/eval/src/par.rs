@@ -19,21 +19,20 @@ use bootleg_kb::{EntityId, KnowledgeBase};
 use std::collections::HashMap;
 
 /// Parallel [`crate::evaluate_slices`]: popularity-slice PRF over
-/// `sentences`, one pool task per micro-batch of sentences. The batch size
-/// comes from `BOOTLEG_BATCH_MAX` (default 8); each batch is answered by a
-/// single [`Predictor::predict_batch`] call, so batched predictors run one
-/// ragged forward pass per chunk. Results are bit-identical to the serial
+/// `sentences`, one pool task per micro-batch of 8 sentences; each batch is
+/// answered by a single [`Predictor::predict_batch`] call, so batched
+/// predictors run one ragged forward pass per chunk. Results are bit-identical to the serial
 /// driver at any thread count *and any batch size*.
 pub fn par_evaluate(
     sentences: &[Sentence],
     counts: &HashMap<EntityId, u32>,
     predict: impl Predictor,
 ) -> SliceReport {
-    par_evaluate_batched(sentences, counts, predict, batch_from_env())
+    par_evaluate_batched(sentences, counts, predict, 8)
 }
 
 /// [`par_evaluate`] with an explicit micro-batch size (benchmarks compare
-/// batch 1 against batch 8 without touching the environment).
+/// batch 1 against batch 8).
 pub fn par_evaluate_batched(
     sentences: &[Sentence],
     counts: &HashMap<EntityId, u32>,
@@ -50,15 +49,6 @@ pub fn par_evaluate_batched(
     }
     slices::record_throughput(sentences.len(), start.elapsed());
     report
-}
-
-/// The evaluation micro-batch size: `BOOTLEG_BATCH_MAX`, default 8.
-fn batch_from_env() -> usize {
-    std::env::var("BOOTLEG_BATCH_MAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(8)
 }
 
 /// Parallel [`crate::slices::f1_by_count_bucket`] (Figure 1 curve).

@@ -26,27 +26,6 @@ impl Default for BreakerConfig {
 }
 
 impl BreakerConfig {
-    /// Reads `BOOTLEG_BREAKER`: `"off"` (or `"0"`) disables,
-    /// `"<threshold>,<cooldown_ms>"` tunes, anything else (or unset) keeps
-    /// the default (3 failures, 1 s cooldown).
-    pub fn from_env() -> Self {
-        match std::env::var("BOOTLEG_BREAKER") {
-            Ok(v) if v == "off" || v == "0" => {
-                Self { failure_threshold: 0, ..Self::default() }
-            }
-            Ok(v) => {
-                let mut parts = v.splitn(2, ',');
-                let threshold = parts.next().and_then(|s| s.trim().parse().ok());
-                let cooldown = parts.next().and_then(|s| s.trim().parse().ok());
-                match (threshold, cooldown) {
-                    (Some(t), Some(c)) => Self { failure_threshold: t, cooldown_ms: c },
-                    _ => Self::default(),
-                }
-            }
-            Err(_) => Self::default(),
-        }
-    }
-
     /// True when the breaker never trips.
     pub fn disabled(&self) -> bool {
         self.failure_threshold == 0
@@ -201,19 +180,5 @@ mod tests {
             assert!(b.allow(t));
         }
         assert_eq!(b.state(100), BreakerState::Closed);
-    }
-
-    #[test]
-    fn config_from_env_parses_all_forms() {
-        std::env::set_var("BOOTLEG_BREAKER", "5,250");
-        let c = BreakerConfig::from_env();
-        assert_eq!((c.failure_threshold, c.cooldown_ms), (5, 250));
-        std::env::set_var("BOOTLEG_BREAKER", "off");
-        assert!(BreakerConfig::from_env().disabled());
-        std::env::set_var("BOOTLEG_BREAKER", "garbage");
-        let c = BreakerConfig::from_env();
-        assert_eq!(c.failure_threshold, BreakerConfig::default().failure_threshold);
-        std::env::remove_var("BOOTLEG_BREAKER");
-        assert!(!BreakerConfig::from_env().disabled());
     }
 }

@@ -53,10 +53,10 @@ pub struct FallbackChain<'a> {
 }
 
 impl<'a> FallbackChain<'a> {
-    /// An empty chain on wall time with breaker tuning from
-    /// [`BreakerConfig::from_env`].
+    /// An empty chain on wall time with the default breaker tuning
+    /// ([`BreakerConfig::default`]: 3 failures, 1 s cooldown).
     pub fn new() -> Self {
-        Self::with_clock(Arc::new(WallClock::new()), BreakerConfig::from_env())
+        Self::with_clock(Arc::new(WallClock::new()), BreakerConfig::default())
     }
 
     /// An empty chain on an explicit clock and breaker tuning (tests use a

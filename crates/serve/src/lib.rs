@@ -31,11 +31,13 @@
 //! Set `BOOTLEG_OBS_ADDR=host:port` to expose it all live over HTTP
 //! ([`bootleg_obs::serve_from_env`]).
 //!
-//! Knobs: `BOOTLEG_QUEUE_CAP` (admission-queue capacity, default 64),
-//! `BOOTLEG_DEADLINE_MS` (per-request budget, default unlimited),
-//! `BOOTLEG_BREAKER` (`off` | `<threshold>,<cooldown_ms>`, default `3,1000`),
-//! `BOOTLEG_THREADS` (serving workers), `BOOTLEG_SLOW_MS` (slow-request
-//! exemplar threshold, default 250).
+//! Knobs: serving is tuned in code — [`ServeConfig`]'s `with_*` builders
+//! (queue capacity, default 64; per-request deadline, default unlimited;
+//! micro-batch cap, default 8; straggler window, default 200 µs) and
+//! [`BreakerConfig`] passed to [`FallbackChain::with_clock`] (default 3
+//! failures, 1 s cooldown). Environment: `BOOTLEG_THREADS` (default
+//! serving workers) and `BOOTLEG_SLOW_MS` (slow-request exemplar
+//! threshold, default 250).
 
 #![warn(missing_docs)]
 

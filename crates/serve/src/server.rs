@@ -16,14 +16,17 @@
 //! [`ServeConfig::batch_wait_us`] µs for stragglers once it holds the first
 //! one, then answers the whole batch through one
 //! [`FallbackChain::predict_batch`] call (one ragged forward pass on the
-//! model tier). A request whose deadline expires while its batch is forming
-//! is evicted at formation — answered `DeadlineExceeded` on the spot — so a
-//! stale request never spends model budget or delays its batch-mates.
+//! model tier). A lone request is a batch of one and takes the same path.
+//! A request whose deadline expires while its batch is forming is evicted
+//! at formation — answered `DeadlineExceeded` on the spot — so a stale
+//! request never spends model budget or delays its batch-mates. Tuning is
+//! set in code with the `ServeConfig::with_*` builders; only the worker
+//! count has an environment default (`BOOTLEG_THREADS`).
 //!
 //! Workers never die: tier panics are caught inside the chain, and a panic
 //! escaping the chain itself (a serving bug) is converted to
 //! [`ServeError::Internal`](crate::error::ServeError::Internal) by a final
-//! `catch_unwind`, with the batch retried one request at a time so the
+//! `catch_unwind`; a larger batch is retried one request at a time so the
 //! defect attaches to the request that caused it.
 
 use crate::chain::FallbackChain;
@@ -81,29 +84,6 @@ fn default_workers() -> usize {
 }
 
 impl ServeConfig {
-    /// Reads `BOOTLEG_THREADS` (workers), `BOOTLEG_QUEUE_CAP` (default 64),
-    /// `BOOTLEG_DEADLINE_MS` (default unlimited), `BOOTLEG_BATCH_MAX`
-    /// (default 8), and `BOOTLEG_BATCH_WAIT_US` (default 200).
-    pub fn from_env() -> Self {
-        let env_usize = |key: &str| {
-            std::env::var(key).ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-        };
-        Self {
-            workers: default_workers(),
-            queue_cap: env_usize("BOOTLEG_QUEUE_CAP").unwrap_or(64),
-            deadline_ms: std::env::var("BOOTLEG_DEADLINE_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&ms| ms > 0),
-            batch_max: env_usize("BOOTLEG_BATCH_MAX").unwrap_or(8),
-            batch_wait_us: std::env::var("BOOTLEG_BATCH_WAIT_US")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(200),
-            chaos: FaultPlan::none(),
-        }
-    }
-
     /// Overrides the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -122,7 +102,8 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the micro-batch size cap (`1` disables batching).
+    /// Overrides the micro-batch size cap (`1` serves each request as a
+    /// batch of one).
     pub fn with_batch_max(mut self, max: usize) -> Self {
         self.batch_max = max.max(1);
         self
@@ -369,108 +350,72 @@ fn run_batch(
             true
         }
     });
-    match jobs.len() {
-        0 => {}
-        1 => {
-            let job = &jobs[0];
-            let outcome = run_one(chain, cfg, &requests[job.idx], &job.cx, job.popped_us, 1);
-            set_once(&outcomes[job.idx], outcome, job.idx);
-        }
-        _ => {
-            let batch_size = jobs.len() as u32;
-            // Corrupt only the jobs the chaos schedule names; clean
-            // requests are served by reference, never cloned.
-            let corrupted: Vec<Option<Example>> = jobs
-                .iter()
-                .map(|job| {
-                    cfg.chaos.malformed_example_at(job.cx.seq).then(|| corrupt(&requests[job.idx]))
-                })
-                .collect();
-            let exs: Vec<&Example> = jobs
-                .iter()
-                .zip(&corrupted)
-                .map(|(job, c)| c.as_ref().unwrap_or(&requests[job.idx]))
-                .collect();
-            let cxs: Vec<RequestCx> = jobs.iter().map(|job| job.cx).collect();
-            // One capture for the shared forward pass: the phase breakdown
-            // belongs to the batch, so each member's record carries it
-            // alongside its batch size.
-            let capture = bootleg_obs::begin_capture(jobs[0].cx.id);
-            let attempt = catch_unwind(AssertUnwindSafe(|| chain.predict_batch(&exs, &cxs)));
-            let phases = capture.finish();
-            match attempt {
-                Ok(outs) => {
-                    let done_us = clock.now_us();
-                    for ((job, ex), outcome) in jobs.iter().zip(&exs).zip(outs) {
-                        telemetry::record_request(
-                            chain,
-                            ex,
-                            &job.cx,
-                            batch_size,
-                            telemetry::Timing::from_stamps(
-                                job.cx.admitted_us,
-                                job.popped_us,
-                                formed_us,
-                                done_us,
-                            ),
-                            phases.clone(),
-                            &outcome,
-                        );
-                        set_once(&outcomes[job.idx], outcome, job.idx);
-                    }
-                }
-                Err(_) => {
-                    // A panic escaping the chain is a serving bug. Retry one
-                    // request at a time so the defect attaches to the request
-                    // that caused it (run_one counts the internal panic).
-                    for job in &jobs {
-                        let outcome =
-                            run_one(chain, cfg, &requests[job.idx], &job.cx, job.popped_us, 1);
-                        set_once(&outcomes[job.idx], outcome, job.idx);
-                    }
-                }
-            }
-        }
-    }
+    answer(chain, cfg, requests, outcomes, &jobs, formed_us);
 }
 
-fn run_one(
+/// Answers `jobs` through one [`FallbackChain::predict_batch`] call (one
+/// ragged forward pass on the model tier), setting exactly one outcome per
+/// job. `formed_us` stamps when the batch was ready to run. A panic
+/// escaping the chain is a serving bug: a lone job fails
+/// [`ServeError::Internal`]; a larger batch re-runs each job alone through
+/// this same function, so the defect attaches to the request that caused
+/// it.
+fn answer(
     chain: &FallbackChain<'_>,
     cfg: &ServeConfig,
-    ex: &Example,
-    cx: &RequestCx,
-    popped_us: u64,
-    batch_size: u32,
-) -> ServeOutcome {
+    requests: &[Example],
+    outcomes: &[OnceLock<ServeOutcome>],
+    jobs: &[Job],
+    formed_us: u64,
+) {
+    if jobs.is_empty() {
+        return;
+    }
     let clock = chain.clock();
-    let started_us = clock.now_us();
-    let malformed = cfg.chaos.malformed_example_at(cx.seq);
-    let capture = bootleg_obs::begin_capture(cx.id);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if malformed {
-            chain.predict(&corrupt(ex), cx)
-        } else {
-            chain.predict(ex, cx)
-        }
-    }));
+    // Corrupt only the jobs the chaos schedule names; clean requests are
+    // served by reference, never cloned.
+    let corrupted: Vec<Option<Example>> = jobs
+        .iter()
+        .map(|job| cfg.chaos.malformed_example_at(job.cx.seq).then(|| corrupt(&requests[job.idx])))
+        .collect();
+    let exs: Vec<&Example> = jobs
+        .iter()
+        .zip(&corrupted)
+        .map(|(job, c)| c.as_ref().unwrap_or(&requests[job.idx]))
+        .collect();
+    let cxs: Vec<RequestCx> = jobs.iter().map(|job| job.cx).collect();
+    // One capture for the shared forward pass: the phase breakdown belongs
+    // to the batch, so each member's record carries it alongside its batch
+    // size.
+    let capture = bootleg_obs::begin_capture(jobs[0].cx.id);
+    let attempt = catch_unwind(AssertUnwindSafe(|| chain.predict_batch(&exs, &cxs)));
     let phases = capture.finish();
-    let outcome = match result {
-        Ok(outcome) => outcome,
-        Err(payload) => {
+    let outs = match attempt {
+        Ok(outs) => outs,
+        Err(payload) if jobs.len() == 1 => {
             counter!("serve.internal_panics").inc();
-            Err(ServeError::Internal { message: panic_message(payload.as_ref()) })
+            vec![Err(ServeError::Internal { message: panic_message(payload.as_ref()) })]
+        }
+        Err(_) => {
+            for job in jobs {
+                answer(chain, cfg, requests, outcomes, std::slice::from_ref(job), clock.now_us());
+            }
+            return;
         }
     };
-    telemetry::record_request(
-        chain,
-        ex,
-        cx,
-        batch_size,
-        telemetry::Timing::from_stamps(cx.admitted_us, popped_us, started_us, clock.now_us()),
-        phases,
-        &outcome,
-    );
-    outcome
+    let done_us = clock.now_us();
+    for (job, outcome) in jobs.iter().zip(outs) {
+        telemetry::record_request(
+            chain,
+            &requests[job.idx],
+            &job.cx,
+            jobs.len() as u32,
+            telemetry::Timing::from_stamps(job.cx.admitted_us, job.popped_us, formed_us, done_us),
+            phases.clone(),
+            &outcome,
+        );
+        set_once(&outcomes[job.idx], outcome, job.idx);
+    }
 }
 
 /// Adapts a [`FallbackChain`] into an infallible [`Predictor`] so the
@@ -592,28 +537,6 @@ mod tests {
         assert!(outcomes[1].is_ok());
     }
 
-    #[test]
-    fn config_from_env_reads_all_knobs() {
-        std::env::set_var("BOOTLEG_QUEUE_CAP", "7");
-        std::env::set_var("BOOTLEG_DEADLINE_MS", "123");
-        std::env::set_var("BOOTLEG_BATCH_MAX", "3");
-        std::env::set_var("BOOTLEG_BATCH_WAIT_US", "55");
-        let cfg = ServeConfig::from_env();
-        assert_eq!(cfg.queue_cap, 7);
-        assert_eq!(cfg.deadline_ms, Some(123));
-        assert_eq!(cfg.batch_max, 3);
-        assert_eq!(cfg.batch_wait_us, 55);
-        std::env::remove_var("BOOTLEG_QUEUE_CAP");
-        std::env::remove_var("BOOTLEG_DEADLINE_MS");
-        std::env::remove_var("BOOTLEG_BATCH_MAX");
-        std::env::remove_var("BOOTLEG_BATCH_WAIT_US");
-        let cfg = ServeConfig::from_env();
-        assert_eq!(cfg.queue_cap, 64);
-        assert_eq!(cfg.deadline_ms, None);
-        assert_eq!(cfg.batch_max, 8);
-        assert_eq!(cfg.batch_wait_us, 200);
-    }
-
     /// Records the size of every batch a tier is asked to answer.
     struct RecordingTier<'a> {
         sizes: &'a Mutex<Vec<usize>>,
@@ -709,6 +632,57 @@ mod tests {
             }
         }
         assert!(sizes.lock().expect("sizes lock").is_empty(), "no batch reached a tier");
+    }
+
+    /// Breaks the `Tier` contract: its batched call unwinds, so the panic
+    /// escapes the chain.
+    struct UnwindingTier;
+
+    impl crate::tier::Tier for UnwindingTier {
+        fn name(&self) -> &'static str {
+            "unwinding"
+        }
+
+        fn predict(
+            &self,
+            ex: &Example,
+            cx: &RequestCx,
+        ) -> Result<Vec<usize>, crate::error::TierFailure> {
+            self.predict_batch(&[ex], std::slice::from_ref(cx)).pop().expect("one result")
+        }
+
+        fn predict_batch(
+            &self,
+            _exs: &[&Example],
+            _cxs: &[RequestCx],
+        ) -> Vec<Result<Vec<usize>, crate::error::TierFailure>> {
+            panic!("tier unwound")
+        }
+    }
+
+    #[test]
+    fn panic_escaping_the_chain_is_one_internal_error_per_request() {
+        let chain =
+            FallbackChain::with_clock(Arc::new(VirtualClock::new()), BreakerConfig::default())
+                .tier(UnwindingTier);
+        let reqs: Vec<Example> = (0..6).map(|_| example()).collect();
+        let panics = bootleg_obs::metrics::counter("serve.internal_panics");
+        for batch_max in [1, 4] {
+            let before = panics.value();
+            let cfg = ServeConfig::default()
+                .with_workers(1)
+                .with_queue_cap(reqs.len())
+                .with_batch_max(batch_max);
+            let outcomes = serve_requests(&chain, &limits(), &cfg, &reqs);
+            assert_eq!(outcomes.len(), reqs.len());
+            for out in &outcomes {
+                match out {
+                    Err(ServeError::Internal { message }) => assert_eq!(message, "tier unwound"),
+                    other => panic!("batch_max {batch_max}: expected Internal, got {other:?}"),
+                }
+            }
+            assert_eq!(panics.value() - before, reqs.len() as u64, "batch_max {batch_max}");
+        }
     }
 
     #[test]

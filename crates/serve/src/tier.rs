@@ -113,40 +113,58 @@ impl<'a> ModelTier<'a> {
 }
 
 impl ModelTier<'_> {
-    /// The per-request body shared by `predict` and the batched retry
-    /// path; `with_stall` lets the retry skip re-sleeping an injected
-    /// `SlowInfer` the batch already paid for.
-    fn predict_one(
-        &self,
-        ex: &Example,
-        cx: &RequestCx,
-        with_stall: bool,
-    ) -> Result<Vec<usize>, TierFailure> {
-        if with_stall {
-            if let Some(ms) = self.faults.slow_infer_at(cx.seq) {
-                // Injected stall: a slow shard / cold cache in front of the
-                // forward pass.
-                std::thread::sleep(std::time::Duration::from_millis(ms));
+    /// The queue-deadline filter, then one `catch_unwind`-isolated
+    /// [`BootlegModel::try_forward_batch`] over the live members. If that
+    /// pass panics with more than one live member, each member re-runs
+    /// alone through this same body (no stall is re-slept), so a poisoned
+    /// example fails with its own diagnostic while the rest of the batch
+    /// still answers. A lone panicking member fails `Panicked` directly.
+    fn answer(&self, exs: &[&Example], cxs: &[RequestCx]) -> Vec<Result<Vec<usize>, TierFailure>> {
+        let mut out: Vec<Option<Result<Vec<usize>, TierFailure>>> = cxs
+            .iter()
+            .map(|cx| {
+                cx.deadline
+                    .expired()
+                    .then_some(Err(TierFailure::DeadlineExceeded { phase: "queue" }))
+            })
+            .collect();
+        let live: Vec<usize> = (0..exs.len()).filter(|&i| out[i].is_none()).collect();
+        let live_exs: Vec<&Example> = live.iter().map(|&i| exs[i]).collect();
+        let deadlines: Vec<Deadline> = live.iter().map(|&i| cxs[i].deadline).collect();
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            for &i in &live {
+                if self.faults.panic_on_example(cxs[i].seq) {
+                    panic!("injected panic on request {}", cxs[i].seq);
+                }
             }
-        }
-        if cx.deadline.expired() {
-            return Err(TierFailure::DeadlineExceeded { phase: "queue" });
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if self.faults.panic_on_example(cx.seq) {
-                panic!("injected panic on request {}", cx.seq);
-            }
-            let opts = bootleg_core::ForwardOptions::inference();
-            let mut results = self.model.try_forward_batch(self.kb, &[ex], &opts, &[cx.deadline]);
-            results.pop().expect("one result per example")
+            self.model.try_forward_batch(
+                self.kb,
+                &live_exs,
+                &bootleg_core::ForwardOptions::inference(),
+                &deadlines,
+            )
         }));
-        match result {
-            Ok(Ok(out)) => Ok(out.predictions),
-            Ok(Err(interrupted)) => {
-                Err(TierFailure::DeadlineExceeded { phase: interrupted.phase })
+        match attempt {
+            Ok(results) => {
+                for (&i, r) in live.iter().zip(results) {
+                    out[i] = Some(r.map(|fwd| fwd.predictions).map_err(|interrupted| {
+                        TierFailure::DeadlineExceeded { phase: interrupted.phase }
+                    }));
+                }
             }
-            Err(payload) => Err(TierFailure::Panicked(panic_message(payload.as_ref()))),
+            Err(payload) if live.len() == 1 => {
+                out[live[0]] = Some(Err(TierFailure::Panicked(panic_message(payload.as_ref()))));
+            }
+            Err(_) => {
+                // Per-example defect attribution: retry each member alone
+                // so only the poisoned one carries the panic.
+                bootleg_obs::counter!("serve.batch_retries").inc();
+                for &i in &live {
+                    out[i] = self.answer(&[exs[i]], std::slice::from_ref(&cxs[i])).pop();
+                }
+            }
         }
+        out.into_iter().map(|o| o.expect("every batch member answered")).collect()
     }
 }
 
@@ -161,82 +179,31 @@ impl Tier for ModelTier<'_> {
         self.model.warm_entity_cache();
     }
 
+    /// A micro-batch of one.
     fn predict(&self, ex: &Example, cx: &RequestCx) -> Result<Vec<usize>, TierFailure> {
-        self.predict_one(ex, cx, true)
+        self.predict_batch(&[ex], std::slice::from_ref(cx)).pop().expect("one result per request")
     }
 
     /// One ragged batched forward pass ([`BootlegModel::try_forward_batch`])
-    /// for the whole micro-batch, bit-identical per request to `predict`.
-    /// Per-request deadlines are checked inside the engine at phase
-    /// boundaries (an expired request is evicted from the result, not the
-    /// batch); injected stalls run up front (a stalled member delays its
-    /// batch, exactly like a slow shard would). If the batched pass itself
-    /// panics, each member retries alone under its own `catch_unwind`, so
-    /// a poisoned example fails with its own diagnostic while the rest of
-    /// the batch still answers.
+    /// for the whole micro-batch, bit-identical per request to a batch of
+    /// one. Injected stalls run up front (a stalled member delays its
+    /// batch, exactly like a slow shard would); per-request deadlines are
+    /// checked before the pass and inside the engine at phase boundaries
+    /// (an expired request is evicted from the result, not the batch).
     fn predict_batch(
         &self,
         exs: &[&Example],
         cxs: &[RequestCx],
     ) -> Vec<Result<Vec<usize>, TierFailure>> {
         assert_eq!(exs.len(), cxs.len(), "one context per request");
-        if exs.len() <= 1 {
-            return exs.iter().zip(cxs).map(|(ex, cx)| self.predict(ex, cx)).collect();
-        }
         for cx in cxs {
             if let Some(ms) = self.faults.slow_infer_at(cx.seq) {
+                // Injected stall: a slow shard / cold cache in front of the
+                // forward pass.
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
         }
-        let mut out: Vec<Option<Result<Vec<usize>, TierFailure>>> = vec![None; exs.len()];
-        let live: Vec<usize> = (0..exs.len())
-            .filter(|&i| {
-                if cxs[i].deadline.expired() {
-                    out[i] = Some(Err(TierFailure::DeadlineExceeded { phase: "queue" }));
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        if !live.is_empty() {
-            let batch_exs: Vec<&Example> = live.iter().map(|&i| exs[i]).collect();
-            let deadlines: Vec<Deadline> = live.iter().map(|&i| cxs[i].deadline).collect();
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                for &i in &live {
-                    if self.faults.panic_on_example(cxs[i].seq) {
-                        panic!("injected panic on request {}", cxs[i].seq);
-                    }
-                }
-                self.model.try_forward_batch(
-                    self.kb,
-                    &batch_exs,
-                    &bootleg_core::ForwardOptions::inference(),
-                    &deadlines,
-                )
-            }));
-            match attempt {
-                Ok(results) => {
-                    for (&i, r) in live.iter().zip(results) {
-                        out[i] = Some(match r {
-                            Ok(fwd) => Ok(fwd.predictions),
-                            Err(interrupted) => {
-                                Err(TierFailure::DeadlineExceeded { phase: interrupted.phase })
-                            }
-                        });
-                    }
-                }
-                Err(_) => {
-                    // Per-example defect attribution: retry each member
-                    // alone so only the poisoned one carries the panic.
-                    bootleg_obs::counter!("serve.batch_retries").inc();
-                    for &i in &live {
-                        out[i] = Some(self.predict_one(exs[i], &cxs[i], false));
-                    }
-                }
-            }
-        }
-        out.into_iter().map(|o| o.expect("every batch member answered")).collect()
+        self.answer(exs, cxs)
     }
 }
 

@@ -15,6 +15,7 @@ use bootleg_kb::{generate as gen_kb, KbConfig, KnowledgeBase};
 use bootleg_serve::{
     serve_requests, FallbackChain, ModelTier, PredictorTier, ServeConfig, ServeError,
 };
+use std::sync::{Mutex, MutexGuard};
 
 fn setup() -> (KnowledgeBase, Corpus, BootlegModel, NedBase) {
     let kb = gen_kb(&KbConfig { n_entities: 300, seed: 191, ..KbConfig::default() });
@@ -38,6 +39,13 @@ fn requests(c: &Corpus, n: usize) -> Vec<Example> {
     reqs
 }
 
+/// Tests that can raise the global `serve.batch_retries` counter run
+/// serialized, so one of them can read its own increments.
+fn retries_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn chain<'a>(
     model: &'a BootlegModel,
     kb: &'a KnowledgeBase,
@@ -57,6 +65,7 @@ fn chain<'a>(
 /// to a direct predictor call.
 #[test]
 fn chaos_every_request_terminates_exactly_once() {
+    let _guard = retries_lock();
     let (kb, c, model, ned) = setup();
     let reqs = requests(&c, 24);
     let faults = FaultPlan::none()
@@ -164,13 +173,16 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
     assert!(shed >= 1, "a 150ms stall against a 2-deep queue must shed");
 }
 
-/// One poisoned request inside a full micro-batch (batch_max = 8, one
-/// worker): the batched forward pass panics, the model tier retries each
-/// member alone under its own `catch_unwind`, and only the poisoned
+/// One poisoned request, served one worker at a time in batches of 8 and
+/// alone (batch_max = 1). In a full micro-batch the batched forward pass
+/// panics, the model tier retries each member alone under its own
+/// `catch_unwind` (one `serve.batch_retries`), and only the poisoned
 /// request degrades — its batch-mates are answered by the primary tier
-/// bit-identically to a direct call.
+/// bit-identically to a direct call. Alone, the poisoned request is a batch
+/// of one: it fails over with no retry.
 #[test]
 fn poisoned_batch_member_degrades_alone() {
+    let _guard = retries_lock();
     let (kb, c, model, ned) = setup();
     let reqs = requests(&c, 16);
     let faults = FaultPlan::none().with(Fault::PanicOnExample { seq: 6 });
@@ -178,22 +190,27 @@ fn poisoned_batch_member_degrades_alone() {
     let limits = tier0.limits();
     let chain = chain(&model, &kb, &ned, faults);
     let direct = BootlegPredictor::new(&model, &kb);
-    let cfg = ServeConfig::default()
-        .with_workers(1)
-        .with_queue_cap(reqs.len())
-        .with_batch_max(8)
-        .with_batch_wait_us(1_000_000);
-    let outcomes = serve_requests(&chain, &limits, &cfg, &reqs);
-    for (idx, outcome) in outcomes.iter().enumerate() {
-        let seq = idx as u64 + 1;
-        let resp = outcome.as_ref().expect("every request is answered by some tier");
-        if seq == 6 {
-            assert!(resp.degraded, "the poisoned request falls to a fallback tier");
-            assert!(resp.tier >= 1);
-        } else {
-            assert_eq!((resp.tier, resp.degraded), (0, false), "batch-mate {seq}");
-            assert_eq!(resp.predictions, direct.predict(&reqs[idx]), "batch-mate {seq}");
+    let retries = bootleg_obs::metrics::counter("serve.batch_retries");
+    for (batch_max, expected_retries) in [(1, 0), (8, 1)] {
+        let before = retries.value();
+        let cfg = ServeConfig::default()
+            .with_workers(1)
+            .with_queue_cap(reqs.len())
+            .with_batch_max(batch_max)
+            .with_batch_wait_us(1_000_000);
+        let outcomes = serve_requests(&chain, &limits, &cfg, &reqs);
+        for (idx, outcome) in outcomes.iter().enumerate() {
+            let seq = idx as u64 + 1;
+            let resp = outcome.as_ref().expect("every request is answered by some tier");
+            if seq == 6 {
+                assert!(resp.degraded, "batch_max {batch_max}: the poisoned request degrades");
+                assert!(resp.tier >= 1);
+            } else {
+                assert_eq!((resp.tier, resp.degraded), (0, false), "batch-mate {seq}");
+                assert_eq!(resp.predictions, direct.predict(&reqs[idx]), "batch-mate {seq}");
+            }
         }
+        assert_eq!(retries.value() - before, expected_retries, "batch_max {batch_max}");
     }
 }
 
@@ -203,6 +220,7 @@ fn poisoned_batch_member_degrades_alone() {
 /// degrade while a stalled batch still answers on the primary tier.
 #[test]
 fn corrupted_batch_members_degrade_alone() {
+    let _guard = retries_lock();
     let (kb, c, model, ned) = setup();
     let reqs = requests(&c, 16);
     let faults = FaultPlan::none()
