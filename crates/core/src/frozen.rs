@@ -26,6 +26,18 @@
 //! vector the entity cache takes. Peak memory is the bundle plus one read
 //! chunk and the small sections.
 //!
+//! The string-keyed maps are flat. The `VOCAB` words are copied from the
+//! section bytes into one text buffer with a `u32` end offset per id and
+//! an open-addressing id table ([`Vocab`]), with no allocation per word;
+//! the KB's adjacency is one CSR array and its alias index an id table over
+//! the alias records ([`KnowledgeBase::finalize`]). On the 166.8 MB
+//! benchmark artifact (213,983 words) the vocabulary takes 7.0 MB where a
+//! `HashMap<String, u32>` plus a `Vec<String>` took ~27 MB, counting the
+//! allocator's rounding of each of the 428k small string blocks.
+//! Under `init::skip_init` the model constructor leaves the entity table as
+//! allocated instead of copying a zero row into every entity, since
+//! `fill_params` overwrites all of it.
+//!
 //! # Bit-identity
 //!
 //! [`thaw_from_bytes`] rebuilds the model through [`BootlegModel::new`]
@@ -71,6 +83,8 @@ pub const ARTIFACT_ENV: &str = "BOOTLEG_ARTIFACT";
 const MAX_DIM: usize = 1 << 14;
 const MAX_LAYERS: usize = 1 << 8;
 const MAX_VOCAB: usize = 1 << 24;
+/// Longest vocabulary word, in bytes.
+const MAX_WORD: usize = 1 << 10;
 
 /// The path named by `BOOTLEG_ARTIFACT`, if set and non-empty.
 pub fn artifact_from_env() -> Option<PathBuf> {
@@ -355,21 +369,35 @@ pub fn thaw_from_bytes(bytes: Vec<u8>) -> Result<FrozenBundle, FrozenError> {
     thaw(&FrozenReader::from_bytes(bytes)?)
 }
 
+/// Decodes the `VOCAB` payload (a word count, then each word as a
+/// length-prefixed string) straight into a flat [`Vocab`], with no
+/// allocation per word.
+fn decode_vocab(payload: &[u8]) -> Result<Vocab, FrozenError> {
+    if u32::try_from(payload.len()).is_err() {
+        return Err(schema(SECTION_VOCAB, format!("{} bytes exceed 4 GiB", payload.len())));
+    }
+    let mut c = Cursor::new(SECTION_VOCAB, payload);
+    let n_words = c.count(MAX_VOCAB)?;
+    // Each word takes at least its 4-byte length prefix: a count that
+    // cannot fit in the payload is refused before it sizes anything.
+    let text_bytes = c.remaining().checked_sub(4 * n_words).ok_or_else(|| {
+        schema(SECTION_VOCAB, format!("{n_words} words cannot fit in {} bytes", c.remaining()))
+    })?;
+    let mut words = Vocab::builder(n_words, text_bytes);
+    for _ in 0..n_words {
+        words.push(c.str(MAX_WORD)?);
+    }
+    c.finish()?;
+    words.finish().ok_or_else(|| schema(SECTION_VOCAB, "duplicate word (token ids must be unique)"))
+}
+
 /// Thaws an artifact from an opened reader. Each section read re-checks
 /// its CRC, so a file changed since the reader opened it is a typed error.
 pub fn thaw(reader: &FrozenReader) -> Result<FrozenBundle, FrozenError> {
     let config = decode_config(&reader.require(SECTION_CONFIG)?)?;
     let kb = bootleg_kb::frozen::decode(&reader.require(bootleg_kb::frozen::SECTION_KB)?)?;
 
-    let vocab_payload = reader.require(SECTION_VOCAB)?;
-    let mut c = Cursor::new(SECTION_VOCAB, &vocab_payload);
-    let n_words = c.count(MAX_VOCAB)?;
-    let words: Vec<String> =
-        (0..n_words).map(|_| c.string(1 << 10)).collect::<Result<_, _>>()?;
-    c.finish()?;
-    drop(vocab_payload);
-    let vocab = Vocab::from_words(words)
-        .ok_or_else(|| schema(SECTION_VOCAB, "duplicate word (token ids must be unique)"))?;
+    let vocab = decode_vocab(&reader.require(SECTION_VOCAB)?)?;
     if config.word_encoder.vocab != vocab.len() {
         return Err(schema(
             SECTION_VOCAB,

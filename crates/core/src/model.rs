@@ -87,11 +87,15 @@ impl BootlegModel {
         // different random embeddings" (Appendix B). Ablated-away signal
         // tables are allocated with a single row so Table 10's size
         // accounting matches the paper's per-variant footprints.
+        // Under `skip_init` the shared row is zeros and the restore that
+        // follows overwrites every row, so the table stays as allocated.
         let entity_rows = if config.use_entity() { n_entities + 1 } else { 1 };
         let shared_row = init::normal(&mut rng, &[config.entity_dim], 0.05);
         let mut entity_table = Tensor::zeros(&[entity_rows, config.entity_dim]);
-        for r in 0..entity_rows {
-            entity_table.row_mut(r).copy_from_slice(shared_row.data());
+        if !init::skipping() {
+            for r in 0..entity_rows {
+                entity_table.row_mut(r).copy_from_slice(shared_row.data());
+            }
         }
         let entity_emb = ps.add("embedding.entity", entity_table);
         let type_rows = if config.use_types() { n_types + 1 } else { 1 };

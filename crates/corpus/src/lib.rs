@@ -23,4 +23,4 @@ pub mod weaklabel;
 
 pub use generator::{generate_corpus, Corpus, CorpusConfig};
 pub use sentence::{Document, LabelKind, Mention, Pattern, Sentence};
-pub use vocab::Vocab;
+pub use vocab::{Vocab, VocabBuilder};

@@ -4,12 +4,13 @@
 //! aliases, cue tokens, popularity), types, relations, aliases (candidate
 //! lists), and KG edges — into one `KBASE` section payload for the
 //! `tensor::frozen` container, and decodes it back. The derived lookup
-//! indexes (`edge_set`, `alias_by_surface`, `neighbor_sets`) are *not*
+//! indexes (the CSR adjacency and the alias surface index) are *not*
 //! serialised; [`decode`] rebuilds them through [`KnowledgeBase::finalize`],
 //! so a thawed KB is structurally identical to a live-built one.
 //!
 //! The decoder trusts nothing: every count, id, and cross-reference is
-//! bounds-checked with a typed [`FrozenError`] before use.
+//! bounds-checked with a typed [`FrozenError`] before use, and a record
+//! count must fit in the bytes left before it reserves anything.
 
 use crate::entity::{AliasInfo, Entity, RelationInfo, TypeInfo};
 use crate::ids::{AliasId, CoarseType, EntityId, Gender, RelationId, TypeId};
@@ -35,6 +36,20 @@ fn strings(b: &mut Builder, ss: &[String]) {
     for s in ss {
         b.string(s);
     }
+}
+
+/// A record count, refused unless `n` records of at least `min_bytes`
+/// each fit in what is left of the payload. Only a count that passes may
+/// size a vector.
+fn records(c: &mut Cursor<'_>, kind: &str, min_bytes: usize) -> Result<usize, FrozenError> {
+    let n = c.count(MAX_RECORDS)?;
+    if n > c.remaining() / min_bytes {
+        return Err(schema(format!(
+            "{n} {kind} records cannot fit in the {} bytes left",
+            c.remaining()
+        )));
+    }
+    Ok(n)
 }
 
 fn read_strings(c: &mut Cursor<'_>) -> Result<Vec<String>, FrozenError> {
@@ -137,8 +152,10 @@ pub fn decode(payload: &[u8]) -> Result<KnowledgeBase, FrozenError> {
     let mut c = Cursor::new(SECTION_KB, payload);
     let mut kb = KnowledgeBase::default();
 
-    let n_types = c.count(MAX_RECORDS)?;
-    kb.types.reserve(n_types.min(1 << 16));
+    // Minimum encoded sizes: every fixed field plus an empty string or
+    // list (a 4-byte count) wherever one is variable.
+    let n_types = records(&mut c, "type", 17)?;
+    kb.types.reserve_exact(n_types);
     for i in 0..n_types {
         let id = c.u32()?;
         check_id("type", id, i)?;
@@ -151,7 +168,8 @@ pub fn decode(payload: &[u8]) -> Result<KnowledgeBase, FrozenError> {
         });
     }
 
-    let n_rels = c.count(MAX_RECORDS)?;
+    let n_rels = records(&mut c, "relation", 16)?;
+    kb.relations.reserve_exact(n_rels);
     for i in 0..n_rels {
         let id = c.u32()?;
         check_id("relation", id, i)?;
@@ -163,7 +181,8 @@ pub fn decode(payload: &[u8]) -> Result<KnowledgeBase, FrozenError> {
         });
     }
 
-    let n_ents = c.count(MAX_RECORDS)?;
+    let n_ents = records(&mut c, "entity", 32)?;
+    kb.entities.reserve_exact(n_ents);
     for i in 0..n_ents {
         let id = c.u32()?;
         check_id("entity", id, i)?;
@@ -223,7 +242,8 @@ pub fn decode(payload: &[u8]) -> Result<KnowledgeBase, FrozenError> {
         });
     }
 
-    let n_aliases = c.count(MAX_RECORDS)?;
+    let n_aliases = records(&mut c, "alias", 12)?;
+    kb.aliases.reserve_exact(n_aliases);
     for i in 0..n_aliases {
         let id = c.u32()?;
         check_id("alias", id, i)?;
@@ -244,7 +264,8 @@ pub fn decode(payload: &[u8]) -> Result<KnowledgeBase, FrozenError> {
         }
     }
 
-    let n_edges = c.count(MAX_RECORDS)?;
+    let n_edges = records(&mut c, "edge", 12)?;
+    kb.edges.reserve_exact(n_edges);
     for _ in 0..n_edges {
         let (s, o, r) = (c.u32()?, c.u32()?, c.u32()?);
         check_ref("edge subject", s, n_ents)?;

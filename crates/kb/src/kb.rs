@@ -5,8 +5,9 @@
 //! pairwise KG adjacency. This module provides all four.
 
 use crate::entity::{AliasInfo, Entity, RelationInfo, TypeInfo};
+use crate::idtable::IdTable;
 use crate::ids::{AliasId, EntityId, RelationId, TypeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// An in-memory knowledge base.
 #[derive(Clone, Debug, Default)]
@@ -21,31 +22,77 @@ pub struct KnowledgeBase {
     pub aliases: Vec<AliasInfo>,
     /// Directed KG triples `(subject, object, relation)`.
     pub edges: Vec<(EntityId, EntityId, RelationId)>,
-    edge_set: HashMap<(u32, u32), RelationId>,
-    alias_by_surface: HashMap<String, AliasId>,
-    neighbor_sets: Vec<HashSet<u32>>,
+    /// Undirected adjacency in compressed-sparse-row form, built by
+    /// [`KnowledgeBase::finalize`]: entity `e`'s neighbors are
+    /// `adj[adj_start[e]..adj_start[e + 1]]`, one `(neighbor, relation)`
+    /// per distinct neighbor, sorted by neighbor. The relation is that of
+    /// the last edge in `edges` order joining the pair, in either
+    /// direction; a self-loop lists the entity as its own neighbor once.
+    adj_start: Vec<u32>,
+    adj: Vec<(u32, RelationId)>,
+    /// Surface → alias index over `aliases[i].surface` (ids are positions
+    /// in `aliases`); the last alias with a surface owns it.
+    alias_index: IdTable,
 }
 
 impl KnowledgeBase {
     /// Builds the lookup indexes after the record vectors are filled.
     pub fn finalize(&mut self) {
-        self.edge_set = self
-            .edges
-            .iter()
-            .flat_map(|&(a, b, r)| [((a.0, b.0), r), ((b.0, a.0), r)])
-            .collect();
-        self.alias_by_surface =
-            self.aliases.iter().map(|a| (a.surface.clone(), a.id)).collect();
-        self.neighbor_sets = vec![HashSet::new(); self.entities.len()];
+        let n = self.entities.len();
+        // Each edge goes into both endpoint rows (a self-loop into one),
+        // tagged with its position in `edges`.
+        let mut start = vec![0u32; n + 1];
         for &(a, b, _) in &self.edges {
-            self.neighbor_sets[a.idx()].insert(b.0);
-            self.neighbor_sets[b.idx()].insert(a.0);
+            start[a.idx() + 1] += 1;
+            if a != b {
+                start[b.idx() + 1] += 1;
+            }
         }
+        for e in 0..n {
+            start[e + 1] += start[e];
+        }
+        let mut fill = start.clone();
+        let mut tagged = vec![(0u32, 0u32); start[n] as usize];
+        for (k, &(a, b, _)) in self.edges.iter().enumerate() {
+            let mut put = |row: EntityId, nbr: EntityId| {
+                tagged[fill[row.idx()] as usize] = (nbr.0, k as u32);
+                fill[row.idx()] += 1;
+            };
+            put(a, b);
+            if a != b {
+                put(b, a);
+            }
+        }
+        // Sort each row by (neighbor, edge position) and keep the last
+        // entry of every neighbor run: the pair's last edge wins.
+        self.adj = Vec::with_capacity(tagged.len());
+        self.adj_start = Vec::with_capacity(n + 1);
+        self.adj_start.push(0);
+        for e in 0..n {
+            let row = &mut tagged[start[e] as usize..start[e + 1] as usize];
+            row.sort_unstable();
+            for (i, &(nbr, k)) in row.iter().enumerate() {
+                if row.get(i + 1).is_none_or(|next| next.0 != nbr) {
+                    self.adj.push((nbr, self.edges[k as usize].2));
+                }
+            }
+            self.adj_start.push(self.adj.len() as u32);
+        }
+
+        // Reverse order, first id of a key kept: the last alias with a
+        // surface owns it.
+        let aliases = &self.aliases;
+        let ids = (0..aliases.len() as u32).rev();
+        self.alias_index = IdTable::build(ids, |i| &aliases[i as usize].surface).0;
     }
 
-    /// The KG neighbors of an entity (undirected view).
-    pub fn neighbors(&self, e: EntityId) -> &HashSet<u32> {
-        &self.neighbor_sets[e.idx()]
+    /// The `(neighbor, relation)` row of an entity, sorted by neighbor;
+    /// empty for an id outside the KB or before [`KnowledgeBase::finalize`].
+    fn adjacent(&self, e: EntityId) -> &[(u32, RelationId)] {
+        match (self.adj_start.get(e.idx()), self.adj_start.get(e.idx() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.adj[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// Number of entities.
@@ -75,12 +122,15 @@ impl KnowledgeBase {
 
     /// Looks up an alias by surface form.
     pub fn alias_by_surface(&self, surface: &str) -> Option<AliasId> {
-        self.alias_by_surface.get(surface).copied()
+        let aliases = &self.aliases;
+        let i = self.alias_index.get(surface, |j| &aliases[j as usize].surface)?;
+        Some(aliases[i as usize].id)
     }
 
     /// The relation connecting two entities in the KG, if any (undirected).
     pub fn connected(&self, a: EntityId, b: EntityId) -> Option<RelationId> {
-        self.edge_set.get(&(a.0, b.0)).copied()
+        let row = self.adjacent(a);
+        row.binary_search_by_key(&b.0, |&(n, _)| n).ok().map(|i| row[i].1)
     }
 
     /// Builds the candidate-pairwise adjacency matrix `K` (row-major,
@@ -88,9 +138,9 @@ impl KnowledgeBase {
     pub fn adjacency(&self, candidates: &[EntityId]) -> Vec<f32> {
         let n = candidates.len();
         let mut k = vec![0.0f32; n * n];
-        // `edge_set` holds both orderings of every edge (see `finalize`), so
-        // connectivity is symmetric: hash each unordered pair once and write
-        // both cells, instead of probing (i,j) and (j,i) separately.
+        // Every edge sits in both endpoint rows (see `finalize`), so
+        // connectivity is symmetric: look each unordered pair up once and
+        // write both cells.
         for i in 0..n {
             for j in i + 1..n {
                 if self.connected(candidates[i], candidates[j]).is_some() {
@@ -120,13 +170,17 @@ impl KnowledgeBase {
         if self.connected(a, b).is_some() {
             return false;
         }
-        let (small, large) = if self.neighbor_sets[a.idx()].len() <= self.neighbor_sets[b.idx()].len()
-        {
-            (&self.neighbor_sets[a.idx()], &self.neighbor_sets[b.idx()])
-        } else {
-            (&self.neighbor_sets[b.idx()], &self.neighbor_sets[a.idx()])
-        };
-        small.iter().any(|n| large.contains(n))
+        // Merge the two sorted rows, stopping at the first shared neighbor.
+        let (mut x, mut y) = (self.adjacent(a).iter(), self.adjacent(b).iter());
+        let (mut p, mut q) = (x.next(), y.next());
+        while let (Some(&(m, _)), Some(&(n, _))) = (p, q) {
+            match m.cmp(&n) {
+                std::cmp::Ordering::Less => p = x.next(),
+                std::cmp::Ordering::Greater => q = y.next(),
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
     }
 }
 

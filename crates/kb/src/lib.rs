@@ -22,6 +22,7 @@
 pub mod entity;
 pub mod frozen;
 pub mod gen;
+pub mod idtable;
 pub mod ids;
 pub mod kb;
 pub mod stats;

@@ -99,6 +99,52 @@ unsafe fn crc32c_hw(c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
+/// Bytes per lane of [`crc32c_hw_lanes`]: a piece of at least `3 * LANE`
+/// bytes is checksummed as three interleaved chains.
+#[cfg(target_arch = "x86_64")]
+const LANE: usize = 8 << 10;
+
+/// `x^(8·LANE) mod P`, the operator that runs a CRC register over one
+/// lane of zero bytes; joins the lanes of [`crc32c_hw_lanes`].
+#[cfg(target_arch = "x86_64")]
+const LANE_SHIFT: u32 = zero_bytes_operator(LANE as u64);
+
+/// [`crc32c_hw`] on three independent chains. Each `3 * lane`-byte block
+/// is split into thirds `a ‖ b ‖ d`; the register runs over `a` while two
+/// zero-started registers run over `b` and `d`, and the three are joined as
+/// [`crc32c_combine`] joins two strings, with `shift` standing for the
+/// zero-bytes operator of one lane. The `crc32` instruction takes three
+/// cycles to produce its result but can start every cycle, so one chain
+/// uses a third of it. Bytes after the last whole block run on one chain.
+///
+/// # Safety
+///
+/// The caller must ensure SSE4.2 is available. `lane` must be a non-zero
+/// multiple of 8 and `shift` must be `x^(8·lane) mod P`; otherwise the
+/// checksum is wrong or the call panics, but the behaviour is defined.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_hw_lanes(mut c: u32, bytes: &[u8], lane: usize, shift: u32) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    debug_assert!(lane > 0 && lane.is_multiple_of(8), "lane of {lane} bytes");
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+    let mut blocks = bytes.chunks_exact(3 * lane);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(lane);
+        let (b, d) = rest.split_at(lane);
+        let (mut x, mut y, mut z) = (u64::from(c), 0u64, 0u64);
+        for ((p, q), r) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(d.chunks_exact(8)) {
+            x = _mm_crc32_u64(x, word(p));
+            y = _mm_crc32_u64(y, word(q));
+            z = _mm_crc32_u64(z, word(r));
+        }
+        let ab = gf2_mul_mod(shift, x as u32) ^ y as u32;
+        c = gf2_mul_mod(shift, ab) ^ z as u32;
+    }
+    // SAFETY: SSE4.2 is available, by this function's own contract.
+    unsafe { crc32c_hw(c, blocks.remainder()) }
+}
+
 /// An incremental CRC-32C: feeding a byte string through
 /// [`Crc32c::update`] in any number of pieces gives the [`Crc32c::finish`]
 /// that one [`crc32c`] call over the whole string gives. Streamed readers
@@ -122,8 +168,9 @@ impl Crc32c {
     pub fn update(&mut self, bytes: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("sse4.2") {
-            // SAFETY: feature detected at runtime.
-            self.0 = unsafe { crc32c_hw(self.0, bytes) };
+            // SAFETY: feature detected at runtime; `LANE` is a non-zero
+            // multiple of 8 and `LANE_SHIFT` is its operator.
+            self.0 = unsafe { crc32c_hw_lanes(self.0, bytes, LANE, LANE_SHIFT) };
             return;
         }
         self.0 = crc32c_sw(self.0, bytes);
@@ -148,22 +195,23 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 
 /// `a · b mod P` over GF(2), for the reflected Castagnoli polynomial `P`;
 /// both operands in the bit order of the CRC register (bit 31 is x⁰).
-fn gf2_mul_mod(a: u32, mut b: u32) -> u32 {
+/// Branch-free (masks select the terms), so the two calls that join each
+/// three-lane block cost the same whatever the data.
+const fn gf2_mul_mod(a: u32, mut b: u32) -> u32 {
     let mut product = 0;
-    let mut bit = 1u32 << 31;
-    while bit != 0 {
-        if a & bit != 0 {
-            product ^= b;
-        }
-        b = if b & 1 != 0 { 0x82F63B78 ^ (b >> 1) } else { b >> 1 };
-        bit >>= 1;
+    let mut i = 0;
+    while i < 32 {
+        // `b` holds b·x^i here; bit 31 - i of `a` is its coefficient of x^i.
+        product ^= b & ((a >> (31 - i)) & 1).wrapping_neg();
+        b = (b >> 1) ^ (0x82F63B78 & (b & 1).wrapping_neg());
+        i += 1;
     }
     product
 }
 
 /// `x^(8n) mod P`: the operator that runs a CRC register over `n` zero
 /// bytes, by square-and-multiply.
-fn zero_bytes_operator(mut n: u64) -> u32 {
+const fn zero_bytes_operator(mut n: u64) -> u32 {
     let mut op = 1u32 << 31; // x⁰
     let mut square = 1u32 << 23; // x⁸: one byte
     while n != 0 {
@@ -404,6 +452,66 @@ mod tests {
                 }
                 assert_eq!(crc32c(slice), !crc32c_sw(u32::MAX, slice), "start {start} len {len}");
             }
+        }
+    }
+
+    /// Every length from 0 through `blocks` three-lane blocks plus 16
+    /// bytes, from an aligned and two unaligned starts, through the lane
+    /// path with lanes of `lane` bytes; the reference grows a byte at a time.
+    #[cfg(target_arch = "x86_64")]
+    fn check_lanes_at_every_length(lane: usize, blocks: usize) {
+        let max = blocks * 3 * lane + 16;
+        let data: Vec<u8> =
+            (0..max as u32 + 8).map(|i| (i.wrapping_mul(2654435761) >> 11) as u8).collect();
+        let shift = zero_bytes_operator(lane as u64);
+        for start in [0usize, 1, 5] {
+            let mut reference = u32::MAX;
+            for len in 0..=max {
+                if len > 0 {
+                    reference = crc32c_sw(reference, &data[start + len - 1..start + len]);
+                }
+                let piece = &data[start..start + len];
+                // SAFETY: the caller checked SSE4.2; `shift` is the
+                // operator of `lane`, a non-zero multiple of 8.
+                let got = unsafe { crc32c_hw_lanes(u32::MAX, piece, lane, shift) };
+                assert_eq!(got, reference, "lane {lane} start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn crc32c_lanes_match_sw_at_every_length() {
+        if !std::arch::is_x86_feature_detected!("sse4.2") {
+            return;
+        }
+        assert_eq!(LANE_SHIFT, zero_bytes_operator(LANE as u64));
+        check_lanes_at_every_length(LANE, 1);
+        // Small lanes reach several whole blocks and every block boundary.
+        for lane in [8, 16, 24] {
+            check_lanes_at_every_length(lane, 4);
+        }
+    }
+
+    #[test]
+    fn crc32c_update_splits_match_sw() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let data: Vec<u8> = (0..7 * 3 * (8 << 10) + 16).map(|_| rng.gen::<u32>() as u8).collect();
+        for _ in 0..64 {
+            let len = rng.gen_range(0..=data.len());
+            let start = rng.gen_range(0..=data.len() - len);
+            let whole = &data[start..start + len];
+            let mut crc = Crc32c::new();
+            let mut rest = whole;
+            while !rest.is_empty() {
+                // Mostly small pieces, now and then one past a whole block.
+                let cap = if rng.gen_range(0..4) == 0 { rest.len() } else { 100 };
+                let (piece, tail) = rest.split_at(rng.gen_range(0..=cap.min(rest.len())));
+                crc.update(piece);
+                rest = tail;
+            }
+            assert_eq!(crc.finish(), !crc32c_sw(u32::MAX, whole), "start {start} len {len}");
         }
     }
 

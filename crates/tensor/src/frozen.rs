@@ -869,9 +869,19 @@ impl<'a> Cursor<'a> {
 
     /// Length-prefixed UTF-8 string.
     pub fn string(&mut self, max_len: usize) -> Result<String, FrozenError> {
+        self.str(max_len).map(str::to_owned)
+    }
+
+    /// Length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn str(&mut self, max_len: usize) -> Result<&'a str, FrozenError> {
         let n = self.count(max_len)?;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.schema("invalid UTF-8 string"))
+        std::str::from_utf8(bytes).map_err(|_| self.schema("invalid UTF-8 string"))
+    }
+
+    /// Bytes not read yet.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Length-prefixed list of u32s.

@@ -34,7 +34,9 @@ pub fn skip_init() -> SkipInitGuard {
     SKIP.with(|s| SkipInitGuard { prev: s.replace(true) })
 }
 
-fn skipping() -> bool {
+/// Whether a [`skip_init`] guard is live on this thread: constructors that
+/// fill a tensor without a sampler (a copied shared row) skip that work too.
+pub fn skipping() -> bool {
     SKIP.with(|s| s.get())
 }
 

@@ -649,3 +649,100 @@ fn resigned_hostile_checkpoint_sections_yield_typed_errors() {
         assert_eq!(resume_with_newest(bytes), Resume::Refused, "{id}: {what}");
     }
 }
+
+/// The artifact's vocabulary as a `VOCAB` payload with `count` claimed and
+/// `words` written.
+fn vocab_payload(count: u32, words: &[&[u8]]) -> Vec<u8> {
+    let mut b = Builder::new();
+    b.u32(count);
+    for w in words {
+        b.u32(w.len() as u32);
+        for &byte in *w {
+            b.u8(byte);
+        }
+    }
+    b.into_bytes()
+}
+
+/// `payload` with the first occurrence of `marker` overwritten by `with`.
+fn overwrite(mut payload: Vec<u8>, marker: &[u8], with: &[u8]) -> Vec<u8> {
+    let at = payload.windows(marker.len()).position(|w| w == marker).expect("marker present");
+    payload[at..at + with.len()].copy_from_slice(with);
+    payload
+}
+
+/// Asserts that thawing `bytes` fails with a schema error on `section`,
+/// from memory and from a file alike; returns the error's text.
+fn schema_error_on(section: &str, bytes: Vec<u8>, what: &str) -> String {
+    assert!(Base::Artifact.refuses(bytes.clone()), "{section}: {what} was accepted");
+    match frozen::thaw_from_bytes(bytes) {
+        Err(FrozenError::SectionSchema { section: s, what: text }) if s == section => text,
+        Err(e) => panic!("{section}: {what} gave {e}, not a schema error on {section}"),
+        Ok(_) => unreachable!("refused above"),
+    }
+}
+
+#[test]
+fn resigned_hostile_vocab_and_kb_sections_yield_typed_errors() {
+    let base = artifact();
+    let words: Vec<String> = world().1.vocab.words().map(str::to_owned).collect();
+    let n = words.len() as u32;
+    let as_bytes = |ws: &[String]| ws.iter().map(|w| w.as_bytes().to_vec()).collect::<Vec<_>>();
+    let edit = |f: &dyn Fn(&mut Vec<Vec<u8>>)| {
+        let mut ws = as_bytes(&words);
+        f(&mut ws);
+        let refs: Vec<&[u8]> = ws.iter().map(Vec::as_slice).collect();
+        vocab_payload(n, &refs)
+    };
+    let vocab_attacks: Vec<(&str, Vec<u8>)> = vec![
+        ("duplicate word", edit(&|ws| ws[2] = ws[1].clone())),
+        ("invalid UTF-8", edit(&|ws| ws[3] = vec![b'a', 0xff, 0xfe])),
+        ("word over 1 KiB", edit(&|ws| ws[4] = vec![b'a'; 1025])),
+        ("count one past the words", {
+            let refs: Vec<&[u8]> = words.iter().map(|w| w.as_bytes()).collect();
+            vocab_payload(n + 1, &refs)
+        }),
+        ("count 2^24 in a 4-byte payload", vocab_payload(1 << 24, &[])),
+        ("count u32::MAX in a 4-byte payload", vocab_payload(u32::MAX, &[])),
+    ];
+    for (what, payload) in vocab_attacks {
+        let section = frozen::SECTION_VOCAB;
+        let text = schema_error_on(section, with_section(base, section, Some(payload)), what);
+        if what.starts_with("count 2^24") {
+            assert!(text.contains("cannot fit"), "{what}: refused only after sizing ({text})");
+        }
+    }
+
+    let kb_section = bootleg::kb::frozen::SECTION_KB;
+    let kb = world().0.clone();
+    let encode_with = |f: &dyn Fn(&mut KnowledgeBase)| {
+        let mut kb = kb.clone();
+        f(&mut kb);
+        bootleg::kb::frozen::encode(&kb)
+    };
+    let pristine = bootleg::kb::frozen::encode(&kb);
+    let marked = encode_with(&|kb| kb.aliases[0].surface = "\u{1}MARK\u{1}".into());
+    let mut edge_short = pristine.clone();
+    edge_short.truncate(pristine.len() - 12);
+    let kb_attacks: Vec<(&str, Vec<u8>)> = vec![
+        ("invalid UTF-8 in an alias surface", overwrite(marked, b"MARK", &[0xff; 4])),
+        ("alias surface over 4 KiB", encode_with(&|kb| kb.aliases[0].surface = "a".repeat(4097))),
+        ("type count 2^26 past the payload end", {
+            let mut p = pristine.clone();
+            p[..4].copy_from_slice(&(1u32 << 26).to_le_bytes());
+            p
+        }),
+        ("edge count one past the payload end", edge_short),
+        ("type count u32::MAX", {
+            let mut p = pristine.clone();
+            p[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            p
+        }),
+    ];
+    for (what, payload) in kb_attacks {
+        let text = schema_error_on(kb_section, with_section(base, kb_section, Some(payload)), what);
+        if what.contains("past the payload end") {
+            assert!(text.contains("cannot fit"), "{what}: refused only after sizing ({text})");
+        }
+    }
+}

@@ -7,7 +7,9 @@
 //!    sections, scratch tables of model construction), which must stay under
 //!    half the artifact's size. A thaw that reads the whole file into a
 //!    buffer before copying it out peaks at least a whole artifact above
-//!    what it keeps.
+//!    what it keeps. The thaw's allocation calls are bounded too, so the
+//!    flat vocabulary and KB indexes cannot drift back to a heap block per
+//!    key.
 //! 2. **Retention.** Once the thawed model has served one request, every
 //!    further `run` call must hand back all the heap it took: the tape's
 //!    buffers are freed when its graph drops, and nothing keeps them for
@@ -24,10 +26,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Bytes currently allocated, and the most seen since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) ever made.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 fn grew(n: usize) {
+    CALLS.fetch_add(1, Ordering::SeqCst);
     let live = LIVE.fetch_add(n, Ordering::SeqCst) + n;
     PEAK.fetch_max(live, Ordering::SeqCst);
 }
@@ -81,6 +86,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Allocation calls a thaw of the golden fixture may make: ~3,200 measured,
+/// most of them the KB's per-record vectors and strings. The vocabulary
+/// and the KB's lookup indexes take a handful of blocks each; a map with
+/// one heap block per word, alias surface or neighbor set takes ~6,100.
+const THAW_ALLOC_CALLS: usize = 3500;
+
 /// Heap a `run` call may leave behind for good: one-time lazy state (a
 /// metrics handle, a pool queue slot) on a code path the warm-up missed.
 const RETAIN_SLACK: usize = 16 << 10;
@@ -91,17 +102,26 @@ fn thaw_peak_heap_stays_under_half_the_artifact() {
     let artifact_bytes = std::fs::metadata(&path).expect("stat tests/data/golden.btfz").len();
 
     PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+    let calls_before = CALLS.load(Ordering::SeqCst);
     let bundle = frozen::thaw_from_path(&path).expect("thaw the golden fixture");
+    let calls = CALLS.load(Ordering::SeqCst) - calls_before;
     let after = LIVE.load(Ordering::SeqCst);
     let peak = PEAK.load(Ordering::SeqCst);
     assert_eq!(bundle.model.n_entities, 160, "the golden fixture's model");
 
     let transient = peak.saturating_sub(after) as u64;
-    println!("artifact {artifact_bytes} B, heap after thaw {after} B, peak {peak} B");
+    println!(
+        "artifact {artifact_bytes} B, heap after thaw {after} B, peak {peak} B, {calls} \
+         allocation calls"
+    );
     assert!(
         transient <= artifact_bytes / 2,
         "thaw peaked {transient} B above the heap it keeps; the bound is half the \
          {artifact_bytes} B artifact"
+    );
+    assert!(
+        calls <= THAW_ALLOC_CALLS,
+        "thaw made {calls} allocation calls; the bound is {THAW_ALLOC_CALLS}"
     );
 
     let (_, corpus, live) = frozen::golden_inputs();
