@@ -118,7 +118,7 @@ impl<'a> FallbackChain<'a> {
     }
 
     /// The chain's time source — the server's micro-batcher shares it so
-    /// collection windows and breaker cooldowns run on the same clock.
+    /// request timing stamps and breaker cooldowns run on the same clock.
     pub(crate) fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
     }

@@ -12,10 +12,11 @@ pub trait Clock: Send + Sync {
     /// Milliseconds elapsed since the clock's epoch.
     fn now_ms(&self) -> u64;
 
-    /// Microseconds elapsed since the clock's epoch — the micro-batcher's
-    /// collection window is measured in µs. Defaults to millisecond
-    /// resolution (`now_ms() * 1000`) so virtual clocks stay consistent;
-    /// [`WallClock`] overrides it with real microsecond precision.
+    /// Microseconds elapsed since the clock's epoch — the serving loop
+    /// stamps admission, pop and batch formation in µs. Defaults to
+    /// millisecond resolution (`now_ms() * 1000`) so virtual clocks stay
+    /// consistent; [`WallClock`] overrides it with real microsecond
+    /// precision.
     fn now_us(&self) -> u64 {
         self.now_ms().saturating_mul(1000)
     }

@@ -33,11 +33,11 @@
 //!
 //! Knobs: serving is tuned in code — [`ServeConfig`]'s `with_*` builders
 //! (queue capacity, default 64; per-request deadline, default unlimited;
-//! micro-batch cap, default 8; straggler window, default 200 µs) and
-//! [`BreakerConfig`] passed to [`FallbackChain::with_clock`] (default 3
-//! failures, 1 s cooldown). Environment: `BOOTLEG_THREADS` (default
-//! serving workers) and `BOOTLEG_SLOW_MS` (slow-request exemplar
-//! threshold, default 250).
+//! micro-batch cap, default 8 — the batcher is work-conserving, so there is
+//! no wait window to tune) and [`BreakerConfig`] passed to
+//! [`FallbackChain::with_clock`] (default 3 failures, 1 s cooldown).
+//! Environment: `BOOTLEG_THREADS` (default serving workers) and
+//! `BOOTLEG_SLOW_MS` (slow-request exemplar threshold, default 250).
 
 #![warn(missing_docs)]
 

@@ -11,12 +11,14 @@
 //! - admitted requests are answered by some tier of the chain, or fail with
 //!   a typed [`ServeError`](crate::error::ServeError).
 //!
-//! Workers drain the queue in **micro-batches**: each worker collects up to
-//! [`ServeConfig::batch_max`] jobs, waiting at most
-//! [`ServeConfig::batch_wait_us`] µs for stragglers once it holds the first
-//! one, then answers the whole batch through one
+//! Workers drain the queue in **micro-batches**, and the batcher is
+//! work-conserving: a worker blocks only while the queue is empty, then
+//! takes whatever is already queued, up to [`ServeConfig::batch_max`] jobs,
+//! and answers the whole batch at once through one
 //! [`FallbackChain::predict_batch`] call (one ragged forward pass on the
-//! model tier). A lone request is a batch of one and takes the same path.
+//! model tier). It never waits for stragglers; under load, batches form
+//! from the requests that queued while the workers were busy. A lone
+//! request is a batch of one and takes the same path.
 //! A request whose deadline expires while its batch is forming is evicted
 //! at formation — answered `DeadlineExceeded` on the spot — so a stale
 //! request never spends model budget or delays its batch-mates. Tuning is
@@ -53,11 +55,9 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-request compute budget, stamped at admission. `None` = unlimited.
     pub deadline_ms: Option<u64>,
-    /// Largest micro-batch a worker answers in one forward pass.
+    /// Largest micro-batch a worker answers in one forward pass: at most
+    /// this many of the already-queued jobs go into one batch.
     pub batch_max: usize,
-    /// How long a worker holding a partial batch waits for stragglers, in
-    /// microseconds. `0` = never wait: serve whatever is already queued.
-    pub batch_wait_us: u64,
     /// Injected fault schedule (chaos tests); empty in production.
     pub chaos: FaultPlan,
 }
@@ -69,7 +69,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             deadline_ms: None,
             batch_max: 8,
-            batch_wait_us: 200,
             chaos: FaultPlan::none(),
         }
     }
@@ -109,12 +108,6 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the straggler-collection window, in microseconds.
-    pub fn with_batch_wait_us(mut self, us: u64) -> Self {
-        self.batch_wait_us = us;
-        self
-    }
-
     /// Injects a fault schedule (chaos tests).
     pub fn with_chaos(mut self, chaos: FaultPlan) -> Self {
         self.chaos = chaos;
@@ -131,7 +124,7 @@ struct Job {
     idx: usize,
     cx: RequestCx,
     /// When a worker took the job off the queue (µs on the serving clock);
-    /// the queue-wait / batch-formation-wait boundary.
+    /// the queue-wait / batch-formation boundary.
     popped_us: u64,
 }
 
@@ -164,44 +157,22 @@ impl Queue {
         self.ready.notify_all();
     }
 
-    /// Blocks for the first job, then greedily collects up to `max` jobs.
-    /// With a partial batch in hand it keeps waiting for stragglers until
-    /// `wait_us` µs have elapsed on `clock` since the first job was taken,
-    /// the batch fills, or the queue closes — whichever comes first.
+    /// Blocks while the queue is empty, then takes whatever is already
+    /// queued, up to `max` jobs, and returns at once, every job stamped with
+    /// one read of `clock`. Work-conserving: a worker holding a job never
+    /// waits for stragglers, so a lone request is dispatched immediately.
     /// Returns `None` once the queue is drained and closed.
-    fn pop_batch(&self, max: usize, wait_us: u64, clock: &dyn Clock) -> Option<Vec<Job>> {
+    fn pop_batch(&self, max: usize, clock: &dyn Clock) -> Option<Vec<Job>> {
         let mut guard = self.jobs.lock().expect("queue lock");
-        loop {
-            if !guard.0.is_empty() {
-                break;
-            }
+        while guard.0.is_empty() {
             if guard.1 {
                 return None;
             }
             guard = self.ready.wait(guard).expect("queue lock");
         }
-        let t0 = clock.now_us();
-        let mut batch = Vec::with_capacity(max.min(guard.0.len()).max(1));
-        loop {
-            while batch.len() < max {
-                match guard.0.pop_front() {
-                    Some(mut job) => {
-                        job.popped_us = clock.now_us();
-                        batch.push(job);
-                    }
-                    None => break,
-                }
-            }
-            let elapsed = clock.now_us().saturating_sub(t0);
-            if batch.len() >= max || guard.1 || wait_us == 0 || elapsed >= wait_us {
-                break;
-            }
-            // Straggler window. Bounded waits (≤200 µs real time) so a
-            // virtual clock advanced from another thread is re-checked
-            // promptly even though it never signals the condvar.
-            let wait = std::time::Duration::from_micros((wait_us - elapsed).min(200));
-            guard = self.ready.wait_timeout(guard, wait).expect("queue lock").0;
-        }
+        let popped_us = clock.now_us();
+        let take = max.min(guard.0.len());
+        let batch = guard.0.drain(..take).map(|job| Job { popped_us, ..job }).collect();
         gauge!("serve.queue_depth").set(guard.0.len() as f64);
         Some(batch)
     }
@@ -242,9 +213,7 @@ pub fn serve_requests(
         for _ in 0..cfg.workers.max(1) {
             scope.spawn(|| {
                 let clock = chain.clock();
-                while let Some(jobs) =
-                    queue.pop_batch(cfg.batch_max.max(1), cfg.batch_wait_us, clock.as_ref())
-                {
+                while let Some(jobs) = queue.pop_batch(cfg.batch_max.max(1), clock.as_ref()) {
                     run_batch(chain, cfg, requests, &outcomes, jobs);
                 }
             });
@@ -322,25 +291,20 @@ fn run_batch(
 ) {
     counter!("serve.batches").inc();
     let clock = chain.clock();
-    let formed_us = clock.now_us();
-    // Eviction at formation: a request whose deadline lapsed while the
-    // batch was forming is answered immediately instead of spending model
-    // budget or delaying its batch-mates.
+    // Eviction at formation: a request whose deadline lapsed while it was
+    // queued is answered immediately instead of spending model budget or
+    // delaying its batch-mates.
     jobs.retain(|job| {
         if job.cx.deadline.expired() {
             counter!("serve.batch_evicted").inc();
             let outcome = Err(ServeError::DeadlineExceeded { phase: "queue", tiers: Vec::new() });
+            let now_us = clock.now_us();
             telemetry::record_request(
                 chain,
                 &requests[job.idx],
                 &job.cx,
                 0,
-                telemetry::Timing::from_stamps(
-                    job.cx.admitted_us,
-                    job.popped_us,
-                    formed_us,
-                    clock.now_us(),
-                ),
+                telemetry::Timing::from_stamps(job.cx.admitted_us, job.popped_us, now_us, now_us),
                 Vec::new(),
                 &outcome,
             );
@@ -350,7 +314,7 @@ fn run_batch(
             true
         }
     });
-    answer(chain, cfg, requests, outcomes, &jobs, formed_us);
+    answer(chain, cfg, requests, outcomes, &jobs, clock.now_us());
 }
 
 /// Answers `jobs` through one [`FallbackChain::predict_batch`] call (one
@@ -566,40 +530,67 @@ mod tests {
         }
     }
 
-    #[test]
-    fn micro_batcher_fills_batches_to_batch_max() {
-        let sizes = Mutex::new(Vec::new());
-        let chain =
-            FallbackChain::with_clock(Arc::new(VirtualClock::new()), BreakerConfig::default())
-                .tier(RecordingTier { sizes: &sizes });
-        let reqs: Vec<Example> = (0..12).map(|_| example()).collect();
-        // The virtual clock never advances, so the straggler window only
-        // closes when a batch fills or the queue closes (after all 12 jobs
-        // are queued) — every batch must reach batch_max.
-        let cfg = ServeConfig::default()
-            .with_workers(1)
-            .with_queue_cap(16)
-            .with_batch_max(4)
-            .with_batch_wait_us(1_000_000);
-        let outcomes = serve_requests(&chain, &limits(), &cfg, &reqs);
-        for out in outcomes {
-            assert_eq!(out.expect("served").predictions, vec![1]);
+    fn queue_of(n: usize) -> Queue {
+        let queue = Queue::new();
+        for idx in 0..n {
+            let cx = RequestCx::new(idx as u64 + 1, Deadline::none());
+            queue.try_push(Job { idx, cx, popped_us: 0 }, n).expect("under cap");
         }
-        assert_eq!(*sizes.lock().expect("sizes lock"), vec![4, 4, 4]);
+        queue
+    }
+
+    fn indices(batch: &[Job]) -> Vec<usize> {
+        batch.iter().map(|job| job.idx).collect()
     }
 
     #[test]
-    fn zero_wait_window_still_answers_every_request() {
+    fn prefilled_queue_pops_full_batches_in_order() {
+        let queue = queue_of(12);
+        let clock = VirtualClock::new();
+        clock.advance_ms(7);
+        for start in [0, 4, 8] {
+            let batch = queue.pop_batch(4, &clock).expect("queued jobs");
+            assert_eq!(indices(&batch), (start..start + 4).collect::<Vec<_>>());
+            assert!(batch.iter().all(|job| job.popped_us == 7_000), "stamped at pop");
+        }
+    }
+
+    #[test]
+    fn lone_job_is_dispatched_without_waiting_for_stragglers() {
+        // The queue stays open and the virtual clock never moves, so only a
+        // batcher that never waits for stragglers can return.
+        let queue = Arc::new(queue_of(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let popper = Arc::clone(&queue);
+        let handle = std::thread::spawn(move || {
+            let batch = popper.pop_batch(8, &VirtualClock::new()).expect("one queued job");
+            tx.send(indices(&batch)).expect("test still listening");
+        });
+        // On a timeout the popper is left blocked; the failed test ends it.
+        let popped = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(popped.expect("pop_batch returned a lone job at once"), vec![0]);
+        handle.join().expect("popper thread");
+        queue.close();
+    }
+
+    #[test]
+    fn closed_queue_drains_then_ends() {
+        let queue = queue_of(5);
+        queue.close();
+        let clock = VirtualClock::new();
+        assert_eq!(indices(&queue.pop_batch(4, &clock).expect("first batch")), vec![0, 1, 2, 3]);
+        assert_eq!(indices(&queue.pop_batch(4, &clock).expect("remainder")), vec![4]);
+        assert!(queue.pop_batch(4, &clock).is_none(), "drained and closed");
+    }
+
+    #[test]
+    fn concurrent_workers_answer_every_request() {
         let sizes = Mutex::new(Vec::new());
         let chain =
             FallbackChain::with_clock(Arc::new(VirtualClock::new()), BreakerConfig::default())
                 .tier(RecordingTier { sizes: &sizes });
         let reqs: Vec<Example> = (0..20).map(|_| example()).collect();
-        let cfg = ServeConfig::default()
-            .with_workers(2)
-            .with_queue_cap(32)
-            .with_batch_max(8)
-            .with_batch_wait_us(0);
+        let cfg = ServeConfig::default().with_workers(2).with_queue_cap(32).with_batch_max(8);
         let outcomes = serve_requests(&chain, &limits(), &cfg, &reqs);
         for out in outcomes {
             assert_eq!(out.expect("served").predictions, vec![1]);

@@ -90,7 +90,9 @@ pub fn classify_slice(
 pub struct Timing {
     /// Admission → popped from the queue by a worker.
     pub queue_ns: u64,
-    /// Popped → micro-batch dispatched (straggler-window wait).
+    /// Popped → micro-batch dispatched: the eviction scan at formation (the
+    /// batcher never waits for stragglers), or, for an evicted request,
+    /// popped → evicted.
     pub batch_form_ns: u64,
     /// Admission → terminal outcome.
     pub e2e_ns: u64,
@@ -112,8 +114,9 @@ impl Timing {
 /// Records one terminal request into the whole telemetry plane: the
 /// request-record rings, the fixed `serve.queue_wait_ns` histogram, the
 /// `serve.window.*` sliding windows (end-to-end overall and per-slice,
-/// queue wait, batch-formation wait, per forward phase), and the per-slice
-/// serving counters. One call per request, at its terminal outcome.
+/// queue wait, the eviction scan at batch formation, per forward phase),
+/// and the per-slice serving counters. One call per request, at its
+/// terminal outcome.
 pub fn record_request(
     chain: &FallbackChain<'_>,
     ex: &bootleg_core::Example,

@@ -13,7 +13,8 @@ use bootleg_corpus::{generate_corpus, Corpus, CorpusConfig};
 use bootleg_eval::{BootlegPredictor, Predictor};
 use bootleg_kb::{generate as gen_kb, KbConfig, KnowledgeBase};
 use bootleg_serve::{
-    serve_requests, FallbackChain, ModelTier, PredictorTier, ServeConfig, ServeError,
+    serve_requests, Deadline, FallbackChain, ModelTier, PredictorTier, RequestCx, ServeConfig,
+    ServeError,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -173,13 +174,44 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
     assert!(shed >= 1, "a 150ms stall against a 2-deep queue must shed");
 }
 
-/// One poisoned request, served one worker at a time in batches of 8 and
-/// alone (batch_max = 1). In a full micro-batch the batched forward pass
-/// panics, the model tier retries each member alone under its own
-/// `catch_unwind` (one `serve.batch_retries`), and only the poisoned
-/// request degrades — its batch-mates are answered by the primary tier
-/// bit-identically to a direct call. Alone, the poisoned request is a batch
-/// of one: it fails over with no retry.
+/// One poisoned request in a micro-batch of 8, straight through the chain:
+/// the batched forward pass panics, the model tier retries each member
+/// alone under its own `catch_unwind` (exactly one `serve.batch_retries`),
+/// and only the poisoned request degrades — its batch-mates are answered by
+/// the primary tier bit-identically to a direct call.
+#[test]
+fn poisoned_batch_member_is_retried_once_and_degrades_alone() {
+    let _guard = retries_lock();
+    let (kb, c, model, ned) = setup();
+    let reqs = requests(&c, 8);
+    let chain = chain(&model, &kb, &ned, FaultPlan::none().with(Fault::PanicOnExample { seq: 6 }));
+    let direct = BootlegPredictor::new(&model, &kb);
+    let retries = bootleg_obs::metrics::counter("serve.batch_retries");
+    let before = retries.value();
+    let exs: Vec<&Example> = reqs.iter().collect();
+    let cxs: Vec<RequestCx> =
+        (1..=reqs.len() as u64).map(|seq| RequestCx::new(seq, Deadline::none())).collect();
+    let outcomes = chain.predict_batch(&exs, &cxs);
+    assert_eq!(outcomes.len(), reqs.len());
+    for (idx, outcome) in outcomes.iter().enumerate() {
+        let seq = idx as u64 + 1;
+        let resp = outcome.as_ref().expect("every request is answered by some tier");
+        if seq == 6 {
+            assert!(resp.degraded, "the poisoned request degrades");
+            assert!(resp.tier >= 1);
+        } else {
+            assert_eq!((resp.tier, resp.degraded), (0, false), "batch-mate {seq}");
+            assert_eq!(resp.predictions, direct.predict(&reqs[idx]), "batch-mate {seq}");
+        }
+    }
+    assert_eq!(retries.value() - before, 1, "one batched pass retried");
+}
+
+/// The same poisoned request through the full server, one worker, in
+/// batches of up to 8 and alone (batch_max = 1). Only the poisoned request
+/// degrades either way. Alone, it is a batch of one and fails over with no
+/// retry; at batch_max 8 the work-conserving batcher decides whether it
+/// shares a batch, so at most one batched pass is retried.
 #[test]
 fn poisoned_batch_member_degrades_alone() {
     let _guard = retries_lock();
@@ -191,13 +223,12 @@ fn poisoned_batch_member_degrades_alone() {
     let chain = chain(&model, &kb, &ned, faults);
     let direct = BootlegPredictor::new(&model, &kb);
     let retries = bootleg_obs::metrics::counter("serve.batch_retries");
-    for (batch_max, expected_retries) in [(1, 0), (8, 1)] {
+    for (batch_max, max_retries) in [(1, 0), (8, 1)] {
         let before = retries.value();
         let cfg = ServeConfig::default()
             .with_workers(1)
             .with_queue_cap(reqs.len())
-            .with_batch_max(batch_max)
-            .with_batch_wait_us(1_000_000);
+            .with_batch_max(batch_max);
         let outcomes = serve_requests(&chain, &limits, &cfg, &reqs);
         for (idx, outcome) in outcomes.iter().enumerate() {
             let seq = idx as u64 + 1;
@@ -210,7 +241,7 @@ fn poisoned_batch_member_degrades_alone() {
                 assert_eq!(resp.predictions, direct.predict(&reqs[idx]), "batch-mate {seq}");
             }
         }
-        assert_eq!(retries.value() - before, expected_retries, "batch_max {batch_max}");
+        assert!(retries.value() - before <= max_retries, "batch_max {batch_max}");
     }
 }
 

@@ -99,11 +99,7 @@ fn recent_ring_is_exact_under_eight_workers() {
         .tier(PhasedTier);
     let n = 128;
     let reqs: Vec<Example> = (0..n).map(|_| example()).collect();
-    let cfg = ServeConfig::default()
-        .with_workers(8)
-        .with_queue_cap(n)
-        .with_batch_max(4)
-        .with_batch_wait_us(50);
+    let cfg = ServeConfig::default().with_workers(8).with_queue_cap(n).with_batch_max(4);
     let outcomes = serve_requests(&chain, &limits(), &cfg, &reqs);
     assert!(outcomes.iter().all(|o| o.is_ok()), "queue cap {n} admits everything");
 
